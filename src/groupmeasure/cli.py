@@ -14,9 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import oracle
+from . import oracle, scenarios
 from .groups import direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
-from .scenarios import Report, Scenario, ScenarioError, parse_scenario, run
+from .scenarios import Report, Scenario, ScenarioError, run
 
 
 def _fmt_real(x: float) -> str:
@@ -142,7 +142,7 @@ def _selftest_reports() -> list[oracle.CheckReport]:
     for theta in [0.0, math.pi / 3, math.pi / 2, 2.0, 4.0]:
         obs = spin.observable(theta)
         (_, v_plus), (_, v_minus) = spin.eigensystem(obs)
-        (hi, u_plus), (lo, u_minus) = oracle.symmetric_eigensolver_2x2(obs.as_array())
+        (hi, u_plus), (lo, u_minus) = oracle.symmetric_eigensolver_2x2(obs.matrix)
         worst = max(
             worst,
             abs(hi - 1.0),
@@ -167,6 +167,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Subcommands of the worked examples set ``kind``; each option's dest is its scenario key."""
     parser = argparse.ArgumentParser(
         prog="groupmeasure",
         description="Probabilities from transformation-group invariance.",
@@ -174,15 +175,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coin", help="two-sided coin at rest: equal counting measure")
+    p.set_defaults(kind="coin")
     _add_common(p)
 
     p = sub.add_parser("die", help="die orientations: joint, marginal, conditional tables")
-    p.add_argument("--query", choices=("joint", "marginal_up", "conditional_north"), default="joint")
+    p.set_defaults(kind="die")
+    p.add_argument("--query", choices=scenarios.DIE_QUERIES, default="joint")
     p.add_argument("--north", type=int, default=None, help="north face for conditional_north")
     _add_common(p)
 
     p = sub.add_parser("prior", help="invariant density on an observation interval")
-    p.add_argument("--family", choices=("translation", "scale"), required=True)
+    p.set_defaults(kind="interval")
+    p.add_argument("--family", choices=scenarios.FAMILIES, required=True)
     p.add_argument("--lower", type=float, required=True)
     p.add_argument("--upper", type=float, required=True)
     p.add_argument("--at", type=float, default=None, help="evaluate density and cdf here")
@@ -190,17 +194,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("von-mises", help="water/wine mixture fraction density")
+    p.set_defaults(kind="von_mises")
     p.add_argument("--ratio-lower", type=float, required=True)
     p.add_argument("--ratio-upper", type=float, required=True)
     _add_common(p)
 
     p = sub.add_parser("spin", help="spin-1/2 measurement probabilities at angle theta")
+    p.set_defaults(kind="spin")
     p.add_argument("--theta", type=float, required=True, help="angle from +z in radians")
     p.add_argument("--state", type=float, nargs=2, default=None, metavar=("UP", "DOWN"),
                    help="real prepared amplitudes (default 1 0)")
     _add_common(p)
 
     p = sub.add_parser("chain", help="sequential spin measurements")
+    p.set_defaults(kind="spin_chain")
     p.add_argument("--thetas", required=True, help="comma-separated angles in radians")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
@@ -219,40 +226,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    doc: dict[str, Any]
-    if args.command == "coin":
-        doc = {"kind": "coin"}
-    elif args.command == "die":
-        doc = {"kind": "die", "query": args.query}
-        if args.north is not None:
-            doc["north"] = args.north
-    elif args.command == "prior":
-        doc = {"kind": "interval", "family": args.family, "lower": args.lower, "upper": args.upper}
-        if args.at is not None:
-            doc["at"] = args.at
-        if args.quantile is not None:
-            doc["quantile"] = args.quantile
-    elif args.command == "von-mises":
-        doc = {"kind": "von_mises", "ratio_lower": args.ratio_lower, "ratio_upper": args.ratio_upper}
-    elif args.command == "spin":
-        doc = {"kind": "spin", "theta": args.theta}
-        if args.state is not None:
-            doc["state"] = list(args.state)
-    elif args.command == "chain":
-        try:
-            thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
-        except ValueError as err:
-            raise ScenarioError(f"--thetas must be comma-separated numbers: {err}") from err
-        doc = {"kind": "spin_chain", "thetas": thetas, "seed": args.seed, "trials": args.trials}
-    else:  # scenario run
+    if args.command == "scenario":
         try:
             text = args.file.read_text(encoding="utf-8")
         except OSError as err:
             raise ScenarioError(f"cannot read scenario file: {err}") from err
-        return parse_scenario(text)
-    from .scenarios import scenario_from_dict
+        return scenarios.parse_scenario(text)
+    doc: dict[str, Any] = {"kind": args.kind}
+    for key in scenarios.KIND_KEYS[args.kind]:
+        value = getattr(args, key)
+        if value is not None:
+            doc[key] = _angles(value) if key == "thetas" else value
+    return scenarios.scenario_from_dict(doc)
 
-    return scenario_from_dict(doc)
+
+def _angles(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as err:
+        raise ScenarioError(f"--thetas must be comma-separated numbers: {err}") from err
 
 
 def _emit(text: str, out: Path | None) -> None:

@@ -64,18 +64,6 @@ class FiniteGroup:
             census[k] = census.get(k, 0) + 1
         return census
 
-    def to_text(self) -> str:
-        """Line-oriented serialization: label, order, identity, inverses, table rows."""
-        lines = [
-            f"group {self.label}",
-            f"order {self.n}",
-            f"identity {self.identity}",
-            "inverse " + " ".join(str(i) for i in self.inverse),
-            "table",
-        ]
-        lines.extend(" ".join(str(e) for e in row) for row in self.table)
-        return "\n".join(lines) + "\n"
-
 
 def _from_table(label: str, table: list[list[int]]) -> FiniteGroup:
     """Finish a constructor: locate the identity and the inverse map."""

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .actions import DieOrientation
 from .groups import FiniteGroup
+
+EigenPair = tuple[float, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -196,41 +196,40 @@ def integrate(fn: Callable[[float], float], lower: float, upper: float, tol: flo
     return total
 
 
-def symmetric_eigensolver_2x2(m) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
     """Eigenpairs of a real symmetric 2x2 matrix, larger eigenvalue first.
 
-    Quadratic-formula eigenvalues; eigenvectors from the characteristic
-    system, unit norm, first nonzero component nonnegative.
+    The matrix is any 2x2 nested sequence of numbers.  Quadratic-formula
+    eigenvalues; eigenvectors from the characteristic system, unit norm,
+    first nonzero component nonnegative.
     """
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    if abs(arr[0, 1] - arr[1, 0]) > 1e-12:
-        raise ValueError(f"matrix is not symmetric: off-diagonals {arr[0, 1]} vs {arr[1, 0]}")
-    a, b, c = arr[0, 0], arr[0, 1], arr[1, 1]
+    try:
+        (a, b), (b_low, c) = [[float(x) for x in row] for row in m]
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"expected a 2x2 matrix, got {m!r}") from err
+    if abs(b - b_low) > 1e-12:
+        raise ValueError(f"matrix is not symmetric: off-diagonals {b} vs {b_low}")
     mid = 0.5 * (a + c)
     radius = math.hypot(0.5 * (a - c), b)
     hi, lo = mid + radius, mid - radius
 
-    def orient(v: np.ndarray) -> np.ndarray:
-        pivot = v[0] if abs(v[0]) > 1e-12 else v[1]
-        return v if pivot >= 0 else -v
-
-    def eigenvector(lam: float) -> np.ndarray:
+    def eigenvector(lam: float) -> tuple[float, float]:
         # (a - lam) x + b y = 0 and b x + (c - lam) y = 0; pick the better-conditioned
         # row.  hypot avoids underflow for subnormal entries.
         v1, n1 = (b, lam - a), math.hypot(b, lam - a)
         v2, n2 = (lam - c, b), math.hypot(lam - c, b)
-        v, n = (v1, n1) if n1 >= n2 else (v2, n2)
-        return orient(np.array(v) / n)
+        (x, y), n = (v1, n1) if n1 >= n2 else (v2, n2)
+        x, y = x / n, y / n
+        pivot = x if abs(x) > 1e-12 else y
+        return (x, y) if pivot >= 0 else (-x, -y)
 
     if radius == 0.0:
         # Scalar matrix: every direction is an eigenvector; fix the standard basis.
-        return (hi, np.array([1.0, 0.0])), (lo, np.array([0.0, 1.0]))
-    v_hi = eigenvector(hi)
+        return (hi, (1.0, 0.0)), (lo, (0.0, 1.0))
+    x, y = eigenvector(hi)
     # The second eigenvector is the quarter-turn of the first (same convention
     # as the spin module: right-handed orthonormal pair).
-    return (hi, v_hi), (lo, np.array([-v_hi[1], v_hi[0]]))
+    return (hi, (x, y)), (lo, (-y, x))
 
 
 def frequency_test(

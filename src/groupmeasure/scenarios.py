@@ -19,7 +19,17 @@ from . import haar, spin
 from .actions import DieOrientation, all_orientations, coin_action, die_action, uniform_over_action
 from .tables import ProbabilityTable, condition, marginalize
 
-KINDS = ("coin", "die", "interval", "von_mises", "spin", "spin_chain")
+# Every scenario kind with its keys in canonical order.  The unknown-key check,
+# the canonical form and the CLI's argument mapping all read this table.
+KIND_KEYS: dict[str, tuple[str, ...]] = {
+    "coin": (),
+    "die": ("query", "north"),
+    "interval": ("family", "lower", "upper", "at", "quantile"),
+    "von_mises": ("ratio_lower", "ratio_upper"),
+    "spin": ("theta", "state"),
+    "spin_chain": ("thetas", "seed", "trials"),
+}
+KINDS = tuple(KIND_KEYS)
 DIE_QUERIES = ("joint", "marginal_up", "conditional_north")
 FAMILIES = ("translation", "scale")
 
@@ -32,7 +42,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; only the fields for its kind are set."""
+    """A validated scenario; only the fields named in KIND_KEYS for its kind are meaningful."""
 
     kind: str
     query: str | None = None
@@ -45,41 +55,31 @@ class Scenario:
     ratio_lower: float | None = None
     ratio_upper: float | None = None
     theta: float | None = None
-    state: tuple[complex, complex] | None = None
+    state: tuple[complex, complex] = (1.0 + 0.0j, 0.0j)
     thetas: tuple[float, ...] | None = None
     seed: int = 0
     trials: int = 1
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON form: kind first, kind-specific keys in fixed order."""
+        """Canonical JSON form: kind first, then the kind's set keys in KIND_KEYS order."""
         doc: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "die":
-            doc["query"] = self.query
-            if self.north is not None:
-                doc["north"] = self.north
-        elif self.kind == "interval":
-            doc["family"] = self.family
-            doc["lower"] = self.lower
-            doc["upper"] = self.upper
-            if self.at is not None:
-                doc["at"] = self.at
-            if self.quantile is not None:
-                doc["quantile"] = self.quantile
-        elif self.kind == "von_mises":
-            doc["ratio_lower"] = self.ratio_lower
-            doc["ratio_upper"] = self.ratio_upper
-        elif self.kind == "spin":
-            doc["theta"] = self.theta
-            a, b = self.state if self.state is not None else (1.0 + 0.0j, 0.0j)
-            doc["state"] = [[a.real, a.imag], [b.real, b.imag]]
-        elif self.kind == "spin_chain":
-            doc["thetas"] = list(self.thetas or ())
-            doc["seed"] = self.seed
-            doc["trials"] = self.trials
+        for key in KIND_KEYS[self.kind]:
+            value = getattr(self, key)
+            if value is not None:
+                doc[key] = _plain(value)
         return doc
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict())
+
+
+def _plain(value: Any) -> Any:
+    """JSON-ready value: tuples become lists, complex numbers [re, im] pairs."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -100,11 +100,6 @@ def _integer(value: Any, key: str) -> int:
         raise ScenarioError(f"key {key!r} must be an integer, got {value!r}")
     return value
 
-def _check_keys(doc: dict, allowed: set[str]) -> None:
-    unknown = set(doc) - allowed - {"kind"}
-    if unknown:
-        raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
-
 
 def _amplitude(value: Any, key: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -121,13 +116,14 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     kind = _require(doc, "kind")
     if kind not in KINDS:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    unknown = set(doc) - set(KIND_KEYS[kind]) - {"kind"}
+    if unknown:
+        raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
 
     if kind == "coin":
-        _check_keys(doc, set())
         return Scenario(kind="coin")
 
     if kind == "die":
-        _check_keys(doc, {"query", "north"})
         query = _require(doc, "query")
         if query not in DIE_QUERIES:
             raise ScenarioError(f"key 'query' must be one of {', '.join(DIE_QUERIES)}, got {query!r}")
@@ -141,7 +137,6 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         return Scenario(kind="die", query=query, north=north)
 
     if kind == "interval":
-        _check_keys(doc, {"family", "lower", "upper", "at", "quantile"})
         family = _require(doc, "family")
         if family not in FAMILIES:
             raise ScenarioError(f"key 'family' must be one of {', '.join(FAMILIES)}, got {family!r}")
@@ -158,7 +153,6 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         return Scenario(kind="interval", family=family, lower=lower, upper=upper, at=at, quantile=quantile)
 
     if kind == "von_mises":
-        _check_keys(doc, {"ratio_lower", "ratio_upper"})
         lo = _number(_require(doc, "ratio_lower"), "ratio_lower")
         hi = _number(_require(doc, "ratio_upper"), "ratio_upper")
         if not 0 < lo < hi:
@@ -166,22 +160,20 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         return Scenario(kind="von_mises", ratio_lower=lo, ratio_upper=hi)
 
     if kind == "spin":
-        _check_keys(doc, {"theta", "state"})
         theta = _number(_require(doc, "theta"), "theta")
-        state = (1.0 + 0.0j, 0.0j)
-        if "state" in doc:
-            raw = doc["state"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
-            state = (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
-            try:
-                spin.SpinRay(*state)
-            except ValueError as err:
-                raise ScenarioError(f"key 'state': {err}") from err
+        if "state" not in doc:
+            return Scenario(kind="spin", theta=theta)
+        raw = doc["state"]
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
+        state = (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
+        try:
+            spin.SpinRay(*state)
+        except ValueError as err:
+            raise ScenarioError(f"key 'state': {err}") from err
         return Scenario(kind="spin", theta=theta, state=state)
 
     # spin_chain
-    _check_keys(doc, {"thetas", "seed", "trials"})
     raw_thetas = _require(doc, "thetas")
     if not isinstance(raw_thetas, list) or not raw_thetas:
         raise ScenarioError(f"key 'thetas' must be a nonempty list, got {raw_thetas!r}")
@@ -228,13 +220,16 @@ def _die_conditional_north(north: int) -> ProbabilityTable:
     return condition(_die_joint(), lambda label: DieOrientation.from_label(label).north == north)
 
 
-def _density_report(kind: str, summary: list[tuple[str, Any]], d: haar.NormalizedDensity) -> Report:
+def _density_report(
+    kind: str, summary: list[tuple[str, Any]], d: haar.NormalizedDensity, extra: list[tuple[str, Any]]
+) -> Report:
+    """Summary, the density's support and normalizer, then ``extra``; a plot grid of density and cdf."""
     summary = summary + [
         ("support_lower", d.support.lower),
         ("support_upper", d.support.upper),
         ("density_form", d.form),
         ("normalizer", d.normalizer),
-    ]
+    ] + extra
     step = d.support.width / (GRID_POINTS - 1)
     grid = []
     for i in range(GRID_POINTS):
@@ -281,34 +276,21 @@ def _run(s: Scenario) -> Report:
     if s.kind == "interval":
         family = haar.translation_family() if s.family == "translation" else haar.scale_family()
         d = haar.normalize(family, haar.IntervalConstraint(s.lower, s.upper))
-        summary = [("family", s.family)]
-        report = _density_report("interval", summary, d)
         extra: list[tuple[str, Any]] = []
         if s.at is not None:
             extra += [("at", s.at), ("density_at", d.density_at(s.at)), ("cdf_at", d.cdf(s.at))]
         if s.quantile is not None:
             extra += [("quantile_level", s.quantile), ("quantile", d.quantile(s.quantile))]
-        return Report(
-            kind=report.kind,
-            summary=report.summary + tuple(extra),
-            columns=report.columns,
-            records=report.records,
-        )
+        return _density_report("interval", [("family", s.family)], d, extra)
 
     if s.kind == "von_mises":
         d = haar.von_mises_reduce(haar.VonMisesScenario(s.ratio_lower, s.ratio_upper))
         summary = [("ratio_lower", s.ratio_lower), ("ratio_upper", s.ratio_upper)]
-        report = _density_report("von_mises", summary, d)
-        extra = (
+        extra = [
             ("density", d.density_at(0.5 * (d.support.lower + d.support.upper))),
             ("median", d.quantile(0.5)),
-        )
-        return Report(
-            kind=report.kind,
-            summary=report.summary + extra,
-            columns=report.columns,
-            records=report.records,
-        )
+        ]
+        return _density_report("von_mises", summary, d, extra)
 
     if s.kind == "spin":
         ray = spin.SpinRay(*s.state)

@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 NORM_TOL = 1e-12
 EIGENVALUE_UNIT = "hbar/2"
 
@@ -30,20 +28,6 @@ class SpinRay:
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"ray is not normalized: |up|^2 + |down|^2 = {norm_sq}")
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.up, self.down], dtype=complex)
-
-    def phase_aligned(self) -> SpinRay:
-        """Representative with the first nonzero component real and nonnegative."""
-        pivot = self.up if abs(self.up) > NORM_TOL else self.down
-        phase = pivot / abs(pivot)
-        return SpinRay(self.up / phase, self.down / phase)
-
-    def is_same_ray(self, other: SpinRay, tol: float = 1e-9) -> bool:
-        """Ray equality modulo global phase: |<self|other>| = 1."""
-        inner = self.up.conjugate() * other.up + self.down.conjugate() * other.down
-        return abs(abs(inner) - 1.0) <= tol
-
 
 SPIN_UP = SpinRay(1.0 + 0.0j, 0.0j)
 SPIN_DOWN = SpinRay(0.0j, 1.0 + 0.0j)
@@ -55,9 +39,6 @@ class SpinObservable:
 
     theta: float
     matrix: tuple[tuple[float, float], tuple[float, float]]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
 
 
 def observable(theta: float) -> SpinObservable:
@@ -104,8 +85,9 @@ def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     p_plus, p_minus = probabilities(ray, obs)
     p = p_plus if outcome == 1 else p_minus
-    if p == 0.0:
-        raise ValueError(f"outcome {outcome:+d} has probability 0 and cannot be observed")
+    # Rounding leaves an impossible outcome a residue such as 3.7e-33 (spin up at theta = pi).
+    if p <= NORM_TOL:
+        raise ValueError(f"outcome {outcome:+d} has probability 0 (p = {p:.3g}) and cannot be observed")
     (_, plus), (_, minus) = eigensystem(obs)
     return plus if outcome == 1 else minus
 

@@ -41,10 +41,6 @@ class ProbabilityTable:
                 return p
         raise ValueError(f"no outcome labelled {label!r}")
 
-    def to_text(self) -> str:
-        """One line per outcome: label and probability as p/q."""
-        return "\n".join(f"{label} {p}" for label, p in self.outcomes) + "\n"
-
 
 def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     """Equal exact weight 1/len(labels) on every label."""

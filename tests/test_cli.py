@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +145,11 @@ def test_render_table_aligns_columns():
     header = next(line for line in lines if "probability" in line)
     assert header.index("probability") > len("eigenvalue")
     assert any(line.lstrip().startswith("1 ") or line.startswith("1 ") for line in lines)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    code = "import sys, groupmeasure.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"

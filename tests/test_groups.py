@@ -123,20 +123,3 @@ def test_constructors_satisfy_group_axioms(group):
     report = verify_group_axioms(group)
     assert report.passed, report.line()
     assert report.worst_residual == 0.0
-
-
-def test_group_serialization_golden():
-    assert make_cyclic(4).to_text() == (
-        "group C4\n"
-        "order 4\n"
-        "identity 0\n"
-        "inverse 0 3 2 1\n"
-        "table\n"
-        "0 1 2 3\n"
-        "1 2 3 0\n"
-        "2 3 0 1\n"
-        "3 0 1 2\n"
-    )
-    assert make_coin_group().to_text() == (
-        "group coin\norder 2\nidentity 0\ninverse 0 1\ntable\n0 1\n1 0\n"
-    )

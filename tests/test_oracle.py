@@ -94,7 +94,7 @@ def test_eigensolver_diagonal():
 
 
 def test_eigensolver_on_sixty_degree_observable():
-    (hi, v_hi), (lo, v_lo) = symmetric_eigensolver_2x2(observable(math.pi / 3.0).as_array())
+    (hi, v_hi), (lo, v_lo) = symmetric_eigensolver_2x2(observable(math.pi / 3.0).matrix)
     assert hi == pytest.approx(1.0, abs=1e-12)
     assert lo == pytest.approx(-1.0, abs=1e-12)
     assert np.allclose(v_hi, [math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)], atol=1e-12)
@@ -116,6 +116,15 @@ def test_eigensolver_scalar_matrix():
 def test_eigensolver_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigensolver_2x2([[1.0, 0.5], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 2.0],
+)
+def test_eigensolver_rejects_non_2x2_input(m):
+    with pytest.raises(ValueError, match="2x2"):
+        symmetric_eigensolver_2x2(m)
 
 
 @given(

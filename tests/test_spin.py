@@ -34,12 +34,12 @@ def test_observable_along_z():
 
 
 def test_observable_along_x():
-    m = observable(math.pi / 2.0).as_array()
+    m = np.array(observable(math.pi / 2.0).matrix)
     assert np.allclose(m, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_observable_at_sixty_degrees():
-    m = observable(math.pi / 3.0).as_array()
+    m = np.array(observable(math.pi / 3.0).matrix)
     expected = [[0.5, math.sqrt(3.0) / 2.0], [math.sqrt(3.0) / 2.0, -0.5]]
     assert np.allclose(m, expected, atol=1e-15)
 
@@ -51,7 +51,7 @@ def test_observable_rejects_non_finite_angle():
 
 @given(theta=angles)
 def test_observable_is_traceless_hermitian_with_unit_determinant(theta):
-    m = observable(theta).as_array()
+    m = np.array(observable(theta).matrix)
     assert np.array_equal(m, m.conj().T)
     assert m[0, 0] + m[1, 1] == 0.0
     assert abs(np.linalg.det(m) + 1.0) <= 1e-12
@@ -87,7 +87,7 @@ def test_eigensystem_orthonormal_and_matches_generic_solver(theta):
     (_, plus), (_, minus) = eigensystem(obs)
     inner = plus.up.conjugate() * minus.up + plus.down.conjugate() * minus.down
     assert abs(inner) <= 1e-12
-    (hi, u_plus), (lo, u_minus) = symmetric_eigensolver_2x2(obs.as_array())
+    (hi, u_plus), (lo, u_minus) = symmetric_eigensolver_2x2(obs.matrix)
     assert hi == pytest.approx(1.0, abs=1e-12)
     assert lo == pytest.approx(-1.0, abs=1e-12)
     assert abs(u_plus[0] - plus.up.real) <= 1e-9
@@ -180,8 +180,10 @@ def test_collapse_is_idempotent_on_eigenstates():
 
 
 def test_collapse_on_impossible_outcome_is_an_error():
-    with pytest.raises(ValueError, match="probability 0"):
-        collapse(SPIN_UP, observable(0.0), -1)
+    # At theta = pi the +1 probability of spin-up rounds to 3.7e-33, not 0.
+    for theta, outcome in ((0.0, -1), (math.pi, 1)):
+        with pytest.raises(ValueError, match="probability 0"):
+            collapse(SPIN_UP, observable(theta), outcome)
 
 
 def test_collapse_validates_outcome_value():

@@ -8,7 +8,6 @@ from groupmeasure.tables import (
     bayes_factorization_check,
     condition,
     marginalize,
-    uniform_table,
 )
 
 
@@ -158,8 +157,3 @@ def test_structural_mismatch_is_an_error(die_joint):
         bayes_factorization_check(
             die_joint, marginal, _north_conditionals(die_joint), lambda l: ("elsewhere", "x")
         )
-
-
-def test_table_serialization_golden():
-    table = uniform_table(("heads", "tails"))
-    assert table.to_text() == "heads 1/2\ntails 1/2\n"
