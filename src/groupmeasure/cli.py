@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
 
     p = sub.add_parser("selftest", help="run the oracle verification suite")
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=None, help="write output to a file")
 
     return parser
 
@@ -233,7 +233,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             raise ScenarioError(f"cannot read scenario file: {err}") from err
         return scenarios.parse_scenario(text)
     doc: dict[str, Any] = {"kind": args.kind}
-    for key in scenarios.KIND_KEYS[args.kind]:
+    for key in scenarios.KINDS[args.kind].keys:
         value = getattr(args, key)
         if value is not None:
             doc[key] = _angles(value) if key == "thetas" else value
@@ -242,7 +242,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 def _angles(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [float(t) for t in text.split(",")]
     except ValueError as err:
         raise ScenarioError(f"--thetas must be comma-separated numbers: {err}") from err
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,17 +20,6 @@ from . import haar, spin
 from .actions import DieOrientation, all_orientations, coin_action, die_action, uniform_over_action
 from .tables import ProbabilityTable, condition, marginalize
 
-# Every scenario kind with its keys in canonical order.  The unknown-key check,
-# the canonical form and the CLI's argument mapping all read this table.
-KIND_KEYS: dict[str, tuple[str, ...]] = {
-    "coin": (),
-    "die": ("query", "north"),
-    "interval": ("family", "lower", "upper", "at", "quantile"),
-    "von_mises": ("ratio_lower", "ratio_upper"),
-    "spin": ("theta", "state"),
-    "spin_chain": ("thetas", "seed", "trials"),
-}
-KINDS = tuple(KIND_KEYS)
 DIE_QUERIES = ("joint", "marginal_up", "conditional_north")
 FAMILIES = ("translation", "scale")
 
@@ -42,32 +32,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; only the fields named in KIND_KEYS for its kind are meaningful."""
+    """A validated scenario: its kind and every one of that kind's keys, in canonical order."""
 
     kind: str
-    query: str | None = None
-    north: int | None = None
-    family: str | None = None
-    lower: float | None = None
-    upper: float | None = None
-    at: float | None = None
-    quantile: float | None = None
-    ratio_lower: float | None = None
-    ratio_upper: float | None = None
-    theta: float | None = None
-    state: tuple[complex, complex] = (1.0 + 0.0j, 0.0j)
-    thetas: tuple[float, ...] | None = None
-    seed: int = 0
-    trials: int = 1
+    params: dict[str, Any]
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON form: kind first, then the kind's set keys in KIND_KEYS order."""
-        doc: dict[str, Any] = {"kind": self.kind}
-        for key in KIND_KEYS[self.kind]:
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = _plain(value)
-        return doc
+        """Canonical JSON form: kind first, then the kind's set keys in canonical order."""
+        return {"kind": self.kind, **{k: _plain(v) for k, v in self.params.items() if v is not None}}
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict())
@@ -90,7 +62,10 @@ def _require(doc: dict, key: str) -> Any:
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key {key!r} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ScenarioError(f"key {key!r} must be finite, got {value!r}")
     return x
@@ -103,7 +78,7 @@ def _integer(value: Any, key: str) -> int:
 
 def _amplitude(value: Any, key: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_number(value, key))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], key), _number(value[1], key))
     raise ScenarioError(f"key {key!r} entries must be numbers or [re, im] pairs, got {value!r}")
@@ -114,77 +89,13 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     kind = _require(doc, "kind")
-    if kind not in KINDS:
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    unknown = set(doc) - set(KIND_KEYS[kind]) - {"kind"}
+    unknown = set(doc) - set(spec.keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
-
-    if kind == "coin":
-        return Scenario(kind="coin")
-
-    if kind == "die":
-        query = _require(doc, "query")
-        if query not in DIE_QUERIES:
-            raise ScenarioError(f"key 'query' must be one of {', '.join(DIE_QUERIES)}, got {query!r}")
-        north = None
-        if query == "conditional_north":
-            north = _integer(_require(doc, "north"), "north")
-            if not 1 <= north <= 6:
-                raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
-        elif "north" in doc:
-            raise ScenarioError("key 'north' is only valid for query 'conditional_north'")
-        return Scenario(kind="die", query=query, north=north)
-
-    if kind == "interval":
-        family = _require(doc, "family")
-        if family not in FAMILIES:
-            raise ScenarioError(f"key 'family' must be one of {', '.join(FAMILIES)}, got {family!r}")
-        lower = _number(_require(doc, "lower"), "lower")
-        upper = _number(_require(doc, "upper"), "upper")
-        if not lower < upper:
-            raise ScenarioError(f"key 'lower' must be below 'upper', got [{lower}, {upper}]")
-        if family == "scale" and lower <= 0:
-            raise ScenarioError(f"key 'lower' must be positive for the scale family, got {lower}")
-        at = _number(doc["at"], "at") if "at" in doc else None
-        quantile = _number(doc["quantile"], "quantile") if "quantile" in doc else None
-        if quantile is not None and not 0.0 <= quantile <= 1.0:
-            raise ScenarioError(f"key 'quantile' must lie in [0, 1], got {quantile}")
-        return Scenario(kind="interval", family=family, lower=lower, upper=upper, at=at, quantile=quantile)
-
-    if kind == "von_mises":
-        lo = _number(_require(doc, "ratio_lower"), "ratio_lower")
-        hi = _number(_require(doc, "ratio_upper"), "ratio_upper")
-        if not 0 < lo < hi:
-            raise ScenarioError(f"need 0 < ratio_lower < ratio_upper, got [{lo}, {hi}]")
-        return Scenario(kind="von_mises", ratio_lower=lo, ratio_upper=hi)
-
-    if kind == "spin":
-        theta = _number(_require(doc, "theta"), "theta")
-        if "state" not in doc:
-            return Scenario(kind="spin", theta=theta)
-        raw = doc["state"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
-        state = (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
-        try:
-            spin.SpinRay(*state)
-        except ValueError as err:
-            raise ScenarioError(f"key 'state': {err}") from err
-        return Scenario(kind="spin", theta=theta, state=state)
-
-    # spin_chain
-    raw_thetas = _require(doc, "thetas")
-    if not isinstance(raw_thetas, list) or not raw_thetas:
-        raise ScenarioError(f"key 'thetas' must be a nonempty list, got {raw_thetas!r}")
-    thetas = tuple(_number(t, "thetas") for t in raw_thetas)
-    seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
-    trials = _integer(doc.get("trials", 1), "trials")
-    if trials < 1:
-        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
-    return Scenario(kind="spin_chain", thetas=thetas, seed=seed, trials=trials)
+    return Scenario(kind, spec.parse(doc))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -194,6 +105,16 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as err:
         raise ScenarioError(f"malformed scenario document: {err}") from err
     return scenario_from_dict(doc)
+
+
+def run(s: Scenario) -> Report:
+    """Execute a scenario deterministically; module errors gain scenario context."""
+    try:
+        return KINDS[s.kind].run(**s.params)
+    except ScenarioError:
+        raise
+    except ValueError as err:
+        raise ScenarioError(f"{s.kind} scenario failed: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -207,17 +128,50 @@ class Report:
     records: tuple[tuple[Any, ...], ...] = ()
 
 
-def _die_joint() -> ProbabilityTable:
-    return uniform_over_action(die_action())
+@dataclass(frozen=True)
+class Kind:
+    """A scenario kind: its keys in canonical order; ``parse(doc)`` validates a document and returns
+    every key in that order (``None`` for an absent optional one); ``run(**params)`` makes the Report."""
+
+    keys: tuple[str, ...]
+    parse: Callable[[dict[str, Any]], dict[str, Any]]
+    run: Callable[..., Report]
 
 
-def _die_marginal_up() -> ProbabilityTable:
-    projection = {o.label: f"up{o.up}" for o in all_orientations()}
-    return marginalize(_die_joint(), projection)
+def _run_coin() -> Report:
+    action = coin_action()
+    return Report(
+        kind="coin",
+        summary=(("group", action.group.label), ("group_order", action.group.n)),
+        outcomes=uniform_over_action(action),
+    )
 
 
-def _die_conditional_north(north: int) -> ProbabilityTable:
-    return condition(_die_joint(), lambda label: DieOrientation.from_label(label).north == north)
+def _parse_die(doc: dict[str, Any]) -> dict[str, Any]:
+    query = _require(doc, "query")
+    if query not in DIE_QUERIES:
+        raise ScenarioError(f"key 'query' must be one of {', '.join(DIE_QUERIES)}, got {query!r}")
+    north = None
+    if query == "conditional_north":
+        north = _integer(_require(doc, "north"), "north")
+        if not 1 <= north <= 6:
+            raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
+    elif "north" in doc:
+        raise ScenarioError("key 'north' is only valid for query 'conditional_north'")
+    return {"query": query, "north": north}
+
+
+def _run_die(query: str, north: int | None) -> Report:
+    joint = uniform_over_action(die_action())
+    summary: list[tuple[str, Any]] = [("query", query)]
+    if query == "joint":
+        table = joint
+    elif query == "marginal_up":
+        table = marginalize(joint, {o.label: f"up{o.up}" for o in all_orientations()})
+    else:
+        summary.append(("north", north))
+        table = condition(joint, lambda label: DieOrientation.from_label(label).north == north)
+    return Report(kind="die", summary=tuple(summary), outcomes=table)
 
 
 def _density_report(
@@ -231,133 +185,146 @@ def _density_report(
         ("normalizer", d.normalizer),
     ] + extra
     step = d.support.width / (GRID_POINTS - 1)
-    grid = []
-    for i in range(GRID_POINTS):
-        x = d.support.lower + i * step if i < GRID_POINTS - 1 else d.support.upper
-        grid.append((x, d.density_at(x), d.cdf(x)))
+    xs = [d.support.lower + i * step for i in range(GRID_POINTS - 1)] + [d.support.upper]
     return Report(
         kind=kind,
         summary=tuple(summary),
         columns=("x", "density", "cdf"),
-        records=tuple(grid),
+        records=tuple((x, d.density_at(x), d.cdf(x)) for x in xs),
     )
 
 
-def run(s: Scenario) -> Report:
-    """Execute a scenario deterministically; module errors gain scenario context."""
-    try:
-        return _run(s)
-    except ScenarioError:
-        raise
-    except ValueError as err:
-        raise ScenarioError(f"{s.kind} scenario failed: {err}") from err
+def _parse_interval(doc: dict[str, Any]) -> dict[str, Any]:
+    family = _require(doc, "family")
+    if family not in FAMILIES:
+        raise ScenarioError(f"key 'family' must be one of {', '.join(FAMILIES)}, got {family!r}")
+    lower = _number(_require(doc, "lower"), "lower")
+    upper = _number(_require(doc, "upper"), "upper")
+    if not lower < upper:
+        raise ScenarioError(f"key 'lower' must be below 'upper', got [{lower}, {upper}]")
+    if family == "scale" and lower <= 0:
+        raise ScenarioError(f"key 'lower' must be positive for the scale family, got {lower}")
+    at = _number(doc["at"], "at") if "at" in doc else None
+    quantile = _number(doc["quantile"], "quantile") if "quantile" in doc else None
+    if quantile is not None and not 0.0 <= quantile <= 1.0:
+        raise ScenarioError(f"key 'quantile' must lie in [0, 1], got {quantile}")
+    return {"family": family, "lower": lower, "upper": upper, "at": at, "quantile": quantile}
 
 
-def _run(s: Scenario) -> Report:
-    if s.kind == "coin":
-        action = coin_action()
-        return Report(
-            kind="coin",
-            summary=(("group", action.group.label), ("group_order", action.group.n)),
-            outcomes=uniform_over_action(action),
-        )
+def _run_interval(family: str, lower: float, upper: float,
+                  at: float | None, quantile: float | None) -> Report:
+    group = haar.translation_family() if family == "translation" else haar.scale_family()
+    d = haar.normalize(group, haar.IntervalConstraint(lower, upper))
+    extra: list[tuple[str, Any]] = []
+    if at is not None:
+        extra += [("at", at), ("density_at", d.density_at(at)), ("cdf_at", d.cdf(at))]
+    if quantile is not None:
+        extra += [("quantile_level", quantile), ("quantile", d.quantile(quantile))]
+    return _density_report("interval", [("family", family)], d, extra)
 
-    if s.kind == "die":
-        summary: list[tuple[str, Any]] = [("query", s.query)]
-        if s.query == "joint":
-            table = _die_joint()
-        elif s.query == "marginal_up":
-            table = _die_marginal_up()
-        else:
-            summary.append(("north", s.north))
-            table = _die_conditional_north(s.north)
-        return Report(kind="die", summary=tuple(summary), outcomes=table)
 
-    if s.kind == "interval":
-        family = haar.translation_family() if s.family == "translation" else haar.scale_family()
-        d = haar.normalize(family, haar.IntervalConstraint(s.lower, s.upper))
-        extra: list[tuple[str, Any]] = []
-        if s.at is not None:
-            extra += [("at", s.at), ("density_at", d.density_at(s.at)), ("cdf_at", d.cdf(s.at))]
-        if s.quantile is not None:
-            extra += [("quantile_level", s.quantile), ("quantile", d.quantile(s.quantile))]
-        return _density_report("interval", [("family", s.family)], d, extra)
+def _parse_von_mises(doc: dict[str, Any]) -> dict[str, Any]:
+    lo = _number(_require(doc, "ratio_lower"), "ratio_lower")
+    hi = _number(_require(doc, "ratio_upper"), "ratio_upper")
+    if not 0 < lo < hi:
+        raise ScenarioError(f"need 0 < ratio_lower < ratio_upper, got [{lo}, {hi}]")
+    return {"ratio_lower": lo, "ratio_upper": hi}
 
-    if s.kind == "von_mises":
-        d = haar.von_mises_reduce(haar.VonMisesScenario(s.ratio_lower, s.ratio_upper))
-        summary = [("ratio_lower", s.ratio_lower), ("ratio_upper", s.ratio_upper)]
-        extra = [
-            ("density", d.density_at(0.5 * (d.support.lower + d.support.upper))),
-            ("median", d.quantile(0.5)),
-        ]
-        return _density_report("von_mises", summary, d, extra)
 
-    if s.kind == "spin":
-        ray = spin.SpinRay(*s.state)
-        obs = spin.observable(s.theta)
-        pairs = spin.eigensystem(obs)
-        probs = spin.probabilities(ray, obs)
-        records = tuple(
-            (
-                eigenvalue,
-                p,
-                vector.up.real,
-                vector.up.imag,
-                vector.down.real,
-                vector.down.imag,
-            )
-            for (eigenvalue, vector), p in zip(pairs, probs)
-        )
-        return Report(
-            kind="spin",
-            summary=(("theta", s.theta), ("eigenvalue_unit", spin.EIGENVALUE_UNIT)),
-            columns=("eigenvalue", "probability", "post_up_re", "post_up_im", "post_down_re", "post_down_im"),
-            records=records,
-        )
+def _run_von_mises(ratio_lower: float, ratio_upper: float) -> Report:
+    d = haar.von_mises_reduce(haar.VonMisesScenario(ratio_lower, ratio_upper))
+    summary = [("ratio_lower", ratio_lower), ("ratio_upper", ratio_upper)]
+    extra = [
+        ("density", d.density_at(0.5 * (d.support.lower + d.support.upper))),
+        ("median", d.quantile(0.5)),
+    ]
+    return _density_report("von_mises", summary, d, extra)
 
-    # spin_chain
-    if s.trials == 1:
-        trajectory = spin.sequential_chain(spin.SPIN_UP, list(s.thetas), s.seed)
-        records = tuple(
-            (
-                step,
-                theta,
-                outcome.eigenvalue,
-                outcome.probability,
-                outcome.post_state.up.real,
-                outcome.post_state.up.imag,
-                outcome.post_state.down.real,
-                outcome.post_state.down.imag,
-            )
-            for step, (theta, outcome) in enumerate(zip(s.thetas, trajectory))
-        )
+
+_POST_COLUMNS = ("post_up_re", "post_up_im", "post_down_re", "post_down_im")
+
+
+def _post_cells(ray: spin.SpinRay) -> tuple[float, float, float, float]:
+    return ray.up.real, ray.up.imag, ray.down.real, ray.down.imag
+
+
+def _parse_spin(doc: dict[str, Any]) -> dict[str, Any]:
+    theta = _number(_require(doc, "theta"), "theta")
+    state = (1.0 + 0.0j, 0.0j)
+    if "state" in doc:
+        raw = doc["state"]
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
+        state = (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
+        try:
+            spin.SpinRay(*state)
+        except ValueError as err:
+            raise ScenarioError(f"key 'state': {err}") from err
+    return {"theta": theta, "state": state}
+
+
+def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
+    obs = spin.observable(theta)
+    pairs = spin.eigensystem(obs)
+    probs = spin.probabilities(spin.SpinRay(*state), obs)
+    return Report(
+        kind="spin",
+        summary=(("theta", theta), ("eigenvalue_unit", spin.EIGENVALUE_UNIT)),
+        columns=("eigenvalue", "probability", *_POST_COLUMNS),
+        records=tuple((eigenvalue, p, *_post_cells(v)) for (eigenvalue, v), p in zip(pairs, probs)),
+    )
+
+
+def _parse_spin_chain(doc: dict[str, Any]) -> dict[str, Any]:
+    raw_thetas = _require(doc, "thetas")
+    if not isinstance(raw_thetas, list) or not raw_thetas:
+        raise ScenarioError(f"key 'thetas' must be a nonempty list, got {raw_thetas!r}")
+    thetas = tuple(_number(t, "thetas") for t in raw_thetas)
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
+    trials = _integer(doc.get("trials", 1), "trials")
+    if trials < 1:
+        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
+    return {"thetas": thetas, "seed": seed, "trials": trials}
+
+
+def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
+    angles = list(thetas)
+    if trials == 1:
+        trajectory = spin.sequential_chain(spin.SPIN_UP, angles, seed)
         return Report(
             kind="spin_chain",
-            summary=(
-                ("seed", s.seed),
-                ("trials", 1),
-                ("eigenvalue_unit", spin.EIGENVALUE_UNIT),
+            summary=(("seed", seed), ("trials", 1), ("eigenvalue_unit", spin.EIGENVALUE_UNIT)),
+            columns=("step", "theta", "outcome", "probability", *_POST_COLUMNS),
+            records=tuple(
+                (step, theta, outcome.eigenvalue, outcome.probability, *_post_cells(outcome.post_state))
+                for step, (theta, outcome) in enumerate(zip(thetas, trajectory))
             ),
-            columns=(
-                "step", "theta", "outcome", "probability",
-                "post_up_re", "post_up_im", "post_down_re", "post_down_im",
-            ),
-            records=records,
         )
-    plus = 0
-    for i in range(s.trials):
-        final = spin.sequential_chain(spin.SPIN_UP, list(s.thetas), s.seed + i)[-1]
-        if final.eigenvalue == 1:
-            plus += 1
-    frequency = plus / s.trials
+    finals = (spin.sequential_chain(spin.SPIN_UP, angles, seed + i)[-1] for i in range(trials))
+    plus = sum(final.eigenvalue == 1 for final in finals)
+    frequency = plus / trials
     return Report(
         kind="spin_chain",
         summary=(
-            ("seed", s.seed),
-            ("trials", s.trials),
+            ("seed", seed),
+            ("trials", trials),
             ("final_plus_frequency", frequency),
             ("eigenvalue_unit", spin.EIGENVALUE_UNIT),
         ),
         columns=("eigenvalue", "count", "frequency"),
-        records=((1, plus, frequency), (-1, s.trials - plus, 1.0 - frequency)),
+        records=((1, plus, frequency), (-1, trials - plus, 1.0 - frequency)),
     )
+
+
+# Every scenario kind, declared once.  The unknown-key check, the canonical form, run()
+# and the CLI's argument mapping all read this table.
+KINDS: dict[str, Kind] = {
+    "coin": Kind((), lambda doc: {}, _run_coin),
+    "die": Kind(("query", "north"), _parse_die, _run_die),
+    "interval": Kind(("family", "lower", "upper", "at", "quantile"), _parse_interval, _run_interval),
+    "von_mises": Kind(("ratio_lower", "ratio_upper"), _parse_von_mises, _run_von_mises),
+    "spin": Kind(("theta", "state"), _parse_spin, _run_spin),
+    "spin_chain": Kind(("thetas", "seed", "trials"), _parse_spin_chain, _run_spin_chain),
+}

@@ -24,8 +24,13 @@ class SpinRay:
     down: complex
 
     def __post_init__(self) -> None:
-        norm_sq = abs(self.up) ** 2 + abs(self.down) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        try:
+            up, down = abs(self.up), abs(self.down)
+        except OverflowError:  # a modulus past the float range
+            up = down = math.inf
+        # Products overflow to inf where ** raises; inf and nan both fail the check.
+        norm_sq = up * up + down * down
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"ray is not normalized: |up|^2 + |down|^2 = {norm_sq}")
 
 

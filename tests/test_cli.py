@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from groupmeasure.cli import main, render
-from groupmeasure.scenarios import parse_scenario, run
+from groupmeasure.cli import _build_parser, main, render
+from groupmeasure.scenarios import KINDS, parse_scenario, run
 
 
 def run_cli(capsys, *argv):
@@ -65,17 +66,27 @@ def test_von_mises_csv_grid(capsys):
 
 
 def test_spin_requires_normalized_state(capsys):
-    code, out, err = run_cli(capsys, "spin", "--theta", "0", "--state", "1", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "\n" not in err.strip()
+    for state in (("1", "1"), ("1e200", "0")):
+        code, out, err = run_cli(capsys, "spin", "--theta", "0", "--state", *state)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "\n" not in err.strip()
 
 
 def test_invalid_die_north_fails_with_diagnostic(capsys):
     code, _, err = run_cli(capsys, "die", "--query", "conditional_north", "--north", "9")
     assert code == 1
     assert "1..6" in err
+
+
+@pytest.mark.parametrize("thetas", ["1,,2", "1,2,", ",1"])
+def test_chain_refuses_empty_theta_entries(capsys, thetas):
+    code, out, err = run_cli(capsys, "chain", "--thetas", thetas)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --thetas must be comma-separated numbers")
+    assert "\n" not in err.strip()
 
 
 def test_chain_machine_output_is_byte_identical(capsys):
@@ -124,6 +135,26 @@ def test_selftest_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert all(" PASS " in line or line.endswith("PASS residual=0") or "PASS" in line for line in lines)
     assert any(line.startswith("group-axioms[O]") for line in lines)
+
+
+def test_selftest_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_each_example_subcommand_takes_exactly_its_kinds_keys():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = set()
+    for name, parser in sub.choices.items():
+        kind = parser.get_default("kind")
+        if kind is None:
+            continue
+        kinds.add(kind)
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "format", "out"}
+        assert dests == set(KINDS[kind].keys), name
+    assert kinds == set(KINDS)
 
 
 def test_render_csv_outcomes():

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from groupmeasure.scenarios import Scenario, ScenarioError, parse_scenario, run
+from groupmeasure.scenarios import KINDS, Scenario, ScenarioError, parse_scenario, run
 
 
 def test_parse_die_marginal():
     s = parse_scenario('{"kind":"die","query":"marginal_up"}')
-    assert s == Scenario(kind="die", query="marginal_up")
+    assert s == Scenario("die", {"query": "marginal_up", "north": None})
 
 
 def test_parse_scale_interval():
     s = parse_scenario('{"kind":"interval","family":"scale","lower":1,"upper":2}')
     assert s.kind == "interval"
-    assert s.family == "scale"
-    assert (s.lower, s.upper) == (1.0, 2.0)
+    assert s.params["family"] == "scale"
+    assert (s.params["lower"], s.params["upper"]) == (1.0, 2.0)
 
 
 def test_parse_rejects_scale_with_nonpositive_lower():
@@ -29,8 +29,9 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_rejects_unknown_kind():
-    with pytest.raises(ScenarioError, match="unknown kind"):
-        parse_scenario('{"kind":"dice"}')
+    for doc in ('{"kind":"dice"}', '{"kind":["coin"]}'):
+        with pytest.raises(ScenarioError, match="unknown kind"):
+            parse_scenario(doc)
 
 
 def test_parse_reports_position_for_malformed_documents():
@@ -68,7 +69,7 @@ def test_spin_state_must_be_normalized():
 
 def test_spin_state_accepts_complex_pairs():
     s = parse_scenario('{"kind":"spin","theta":0.5,"state":[[0,1],0]}')
-    assert s.state == (1j, 0j)
+    assert s.params["state"] == (1j, 0j)
 
 
 def test_chain_validation():
@@ -82,20 +83,45 @@ def test_chain_validation():
         parse_scenario('{"kind":"spin_chain","thetas":[0.1, true]}')
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        '{"kind":"coin"}',
-        '{"kind":"die","query":"conditional_north","north":2}',
-        '{"kind":"interval","family":"scale","lower":1,"upper":2,"at":1.5,"quantile":0.5}',
-        '{"kind":"von_mises","ratio_lower":1,"ratio_upper":2}',
-        '{"kind":"spin","theta":0.7,"state":[[0.6,0],[0,0.8]]}',
-        '{"kind":"spin_chain","thetas":[1.5707963267948966,0],"seed":9,"trials":3}',
+        '{"kind":"von_mises","ratio_lower":1,"ratio_upper":%s}' % HUGE,
+        '{"kind":"spin","theta":0,"state":[%s,0]}' % HUGE,
+        '{"kind":"spin","theta":0,"state":[[1,%s],0]}' % HUGE,
     ],
+    ids=["ratio", "state_number", "state_pair"],
 )
+def test_oversized_integers_are_refused_as_not_finite(doc):
+    with pytest.raises(ScenarioError, match="must be finite"):
+        parse_scenario(doc)
+
+
+# Document -> its canonical_json() text.  The text is pinned: a hash of it will identify a run.
+CANONICAL = {
+    '{"kind":"coin"}': '{"kind": "coin"}',
+    '{"kind":"die","query":"conditional_north","north":2}':
+        '{"kind": "die", "query": "conditional_north", "north": 2}',
+    '{"kind":"interval","family":"scale","lower":1,"upper":2,"at":1.5,"quantile":0.5}':
+        '{"kind": "interval", "family": "scale", "lower": 1.0, "upper": 2.0, "at": 1.5, "quantile": 0.5}',
+    '{"kind":"von_mises","ratio_lower":1,"ratio_upper":2}':
+        '{"kind": "von_mises", "ratio_lower": 1.0, "ratio_upper": 2.0}',
+    '{"kind":"spin","theta":0.7,"state":[[0.6,0],[0,0.8]]}':
+        '{"kind": "spin", "theta": 0.7, "state": [[0.6, 0.0], [0.0, 0.8]]}',
+    '{"kind":"spin_chain","thetas":[1.5707963267948966,0],"seed":9,"trials":3}':
+        '{"kind": "spin_chain", "thetas": [1.5707963267948966, 0.0], "seed": 9, "trials": 3}',
+}
+
+
+@pytest.mark.parametrize("doc", CANONICAL)
 def test_canonical_form_round_trips(doc):
+    canonical = CANONICAL[doc]
     first = parse_scenario(doc)
-    canonical = first.canonical_json()
+    assert tuple(first.params) == KINDS[first.kind].keys
+    assert first.canonical_json() == canonical
     second = parse_scenario(canonical)
     assert first == second
     assert second.canonical_json() == canonical
@@ -173,8 +199,7 @@ def test_run_chain_many_trials_reports_frequency():
 
 
 def test_run_attaches_scenario_context_to_module_errors():
-    s = Scenario(kind="von_mises", ratio_lower=1.0, ratio_upper=2.0)
-    object.__setattr__(s, "ratio_upper", -3.0)  # corrupt a validated scenario
+    s = Scenario("von_mises", {"ratio_lower": 1.0, "ratio_upper": -3.0})  # bypasses validation
     with pytest.raises(ScenarioError, match="von_mises scenario"):
         run(s)
 

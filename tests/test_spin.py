@@ -118,8 +118,10 @@ def test_spin_down_amplitudes_at_sixty_degrees():
 
 
 def test_unnormalized_ray_is_rejected():
-    with pytest.raises(ValueError, match="normalized"):
-        SpinRay(1.0 + 0.0j, 1.0 + 0.0j)
+    huge = complex(1.5e308, 1.5e308)  # its modulus is past the float range
+    for up, down in [(1.0 + 0.0j, 1.0 + 0.0j), (1e200, 0j), (huge, 0j), (float("nan"), 0j)]:
+        with pytest.raises(ValueError, match="normalized"):
+            SpinRay(up, down)
 
 
 @given(theta=angles, phi=angles, obs_angle=angles)
