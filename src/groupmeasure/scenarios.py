@@ -102,7 +102,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also an over-long integer or over-deep nesting
         raise ScenarioError(f"malformed scenario document: {err}") from err
     return scenario_from_dict(doc)
 

@@ -8,8 +8,10 @@ nonzero component real and nonnegative) so outputs are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 NORM_TOL = 1e-12
@@ -89,12 +91,17 @@ def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     p_plus, p_minus = probabilities(ray, obs)
-    p = p_plus if outcome == 1 else p_minus
-    # Rounding leaves an impossible outcome a residue such as 3.7e-33 (spin up at theta = pi).
-    if p <= NORM_TOL:
-        raise ValueError(f"outcome {outcome:+d} has probability 0 (p = {p:.3g}) and cannot be observed")
+    if refusal := _refusal(outcome, p_plus if outcome == 1 else p_minus):
+        raise ValueError(refusal)
     (_, plus), (_, minus) = eigensystem(obs)
     return plus if outcome == 1 else minus
+
+
+def _refusal(outcome: int, p: float) -> str | None:
+    # Rounding leaves an impossible outcome a residue such as 3.7e-33 (spin up at theta = pi).
+    if p <= NORM_TOL:
+        return f"outcome {outcome:+d} has probability 0 (p = {p:.3g}) and cannot be observed"
+    return None
 
 
 @dataclass(frozen=True)
@@ -106,23 +113,46 @@ class MeasurementOutcome:
     post_state: SpinRay
 
 
+@functools.lru_cache(maxsize=4)
+def _transition_table(key: bytes) -> tuple:
+    """Per step, one row per incoming state (the initial ray, then the previous angle's + or -
+    eigenvector): p_plus and the outcomes after +1 and -1, or collapse's refusal if impossible."""
+    *thetas, up_re, up_im, down_re, down_im = array("d", key)
+    incoming = (SpinRay(complex(up_re, up_im), complex(down_re, down_im)),)
+    table = []
+    for theta in thetas:
+        obs = observable(theta)
+        (_, plus), (_, minus) = eigensystem(obs)
+        rows = []
+        for ray in incoming:
+            p_plus, p_minus = probabilities(ray, obs)
+            rows.append((p_plus, _refusal(1, p_plus) or MeasurementOutcome(1, p_plus, plus),
+                         _refusal(-1, p_minus) or MeasurementOutcome(-1, p_minus, minus)))
+        table.append(tuple(rows))
+        incoming = (plus, minus)
+    return tuple(table)
+
+
 def sequential_chain(initial: SpinRay, thetas: list[float], seed: int) -> list[MeasurementOutcome]:
     """Measure at each angle in order, sampling outcomes and collapsing.
 
-    Deterministic given the seed; each step's recorded probability is the
-    pre-measurement probability of the eigenvalue actually observed.
+    ``random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
+    is below p_plus; each step records the probability of the observed eigenvalue.
+    The chain's transition table is built once and reused from a small memo keyed
+    exactly: on the binary64 bits of the initial amplitudes and the angles, so 0.0
+    and -0.0 differ.
     """
     if not thetas:
         raise ValueError("measurement chain needs at least one angle")
-    rng = random.Random(seed)
-    state = initial
+    draw = random.Random(seed).random
+    key = array("d", thetas)  # not via a new tuple: CPython 3.11 strands 20-item ones on a free list
+    key.extend((initial.up.real, initial.up.imag, initial.down.real, initial.down.imag))
     trajectory: list[MeasurementOutcome] = []
-    for theta in thetas:
-        obs = observable(theta)
-        p_plus, p_minus = probabilities(state, obs)
-        outcome = 1 if rng.random() < p_plus else -1
-        state = collapse(state, obs, outcome)
-        trajectory.append(
-            MeasurementOutcome(outcome, p_plus if outcome == 1 else p_minus, state)
-        )
+    row = 0
+    for step in _transition_table(key.tobytes()):
+        p_plus, plus, minus = step[row]
+        outcome, row = (plus, 0) if draw() < p_plus else (minus, 1)
+        if type(outcome) is str:
+            raise ValueError(outcome)
+        trajectory.append(outcome)
     return trajectory

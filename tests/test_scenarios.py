@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from groupmeasure.scenarios import KINDS, Scenario, ScenarioError, parse_scenario, run
+from groupmeasure.cli import render
+from groupmeasure.scenarios import KINDS, Scenario, ScenarioError, parse_scenario, run, scenario_from_dict
 
 
 def test_parse_die_marginal():
@@ -37,6 +38,21 @@ def test_parse_rejects_unknown_kind():
 def test_parse_reports_position_for_malformed_documents():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario('{"kind": "coin"')
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        # json.loads refuses an integer of more than 4300 digits with a plain ValueError...
+        ('{"kind":"von_mises","ratio_lower":1,"ratio_upper":%s}' % ("1" * 5001), "digits"),
+        # ...and nesting past the recursion limit with a RecursionError.
+        ("[" * 100_000, "recursion"),
+    ],
+    ids=["integer_digit_limit", "deep_nesting"],
+)
+def test_parse_refuses_what_json_cannot_read_as_malformed(doc, reason):
+    with pytest.raises(ScenarioError, match=f"malformed scenario document: .*{reason}"):
+        parse_scenario(doc)
 
 
 def test_parse_requires_object_document():
@@ -196,6 +212,32 @@ def test_run_chain_many_trials_reports_frequency():
     assert abs(summary["final_plus_frequency"] - 0.5) <= 4.0 * math.sqrt(0.25 / 2000)
     assert report.records[0][0] == 1
     assert report.records[0][1] + report.records[1][1] == 2000
+
+
+def test_chains_at_signed_zero_angles_each_print_their_own_post_state():
+    # -0.0 == 0.0, yet a -0.0 angle keeps its sign in the post-state.  Pairs, since a dict would merge them.
+    header = "step,theta,outcome,probability,post_up_re,post_up_im,post_down_re,post_down_im\n"
+    positive, negative = "0,0,1,1,1,0,0,0\n", "0,-0,1,1,1,0,-0,0\n"
+    for theta, row in ((0.0, positive), (-0.0, negative), (0.0, positive), (-0.0, negative)):
+        report = run(scenario_from_dict({"kind": "spin_chain", "thetas": [theta]}))
+        assert render(report, "csv") == header + row
+
+
+# (thetas, seed, trials) -> the +1 count, as the per-trial seed contract gives it.
+EXACT_COUNTS = [
+    ([1.5707963267948966, 0.0], 7, 20_000, 10_131),
+    ([0.3, 1.1, 2.0, 2.9, 3.7, 4.4, 5.2, 6.0], 11, 2_000, 1_080),
+    ([(0.37 * k * k) % (2.0 * math.pi) for k in range(32)], 123, 400, 187),
+]
+
+
+@pytest.mark.parametrize(
+    "thetas, seed, trials, plus", EXACT_COUNTS, ids=["2_angles", "8_angles", "32_angles"]
+)
+def test_run_chain_gives_the_exact_count_of_its_seed(thetas, seed, trials, plus):
+    doc = {"kind": "spin_chain", "thetas": thetas, "seed": seed, "trials": trials}
+    report = run(scenario_from_dict(doc))
+    assert report.records == ((1, plus, plus / trials), (-1, trials - plus, 1.0 - plus / trials))
 
 
 def test_run_attaches_scenario_context_to_module_errors():

@@ -1,15 +1,19 @@
 import cmath
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupmeasure import spin
 from groupmeasure.oracle import frequency_test, symmetric_eigensolver_2x2
 from groupmeasure.spin import (
     SPIN_DOWN,
     SPIN_UP,
+    MeasurementOutcome,
     SpinRay,
     amplitudes,
     collapse,
@@ -232,3 +236,69 @@ def test_x_then_z_chain_final_frequency():
     sampler = lambda i: sequential_chain(SPIN_UP, [math.pi / 2.0, 0.0], seed=5_000 + i)[-1]
     report = frequency_test(sampler, lambda t: t.eigenvalue == 1, 0.5, 20_000)
     assert report.passed, report.line()
+
+
+def reference_chain(initial, thetas, seed):
+    """The chain's seed contract written out step by step: one draw per step, +1 iff below p_plus."""
+    rng = random.Random(seed)
+    state = initial
+    trajectory = []
+    for theta in thetas:
+        obs = observable(theta)
+        p_plus, p_minus = probabilities(state, obs)
+        outcome = 1 if rng.random() < p_plus else -1
+        state = collapse(state, obs, outcome)
+        trajectory.append(MeasurementOutcome(outcome, p_plus if outcome == 1 else p_minus, state))
+    return trajectory
+
+
+def result_of(call, *args):
+    """repr of the return value, or the type and text of the error; repr tells 0.0 from -0.0."""
+    try:
+        return repr(call(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+angle_pool = st.lists(
+    st.one_of(
+        st.sampled_from((0.0, -0.0, math.pi, -math.pi)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=4,
+)
+initial_states = st.one_of(
+    st.just(SPIN_UP),
+    st.just(SPIN_DOWN),
+    st.builds(random_ray, angles, angles, angles),
+)
+
+
+@given(
+    initial=initial_states,
+    thetas=angle_pool.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),
+    seed=st.integers(min_value=0, max_value=2**64),
+)
+def test_chain_follows_the_per_step_seed_contract(initial, thetas, seed):
+    for trial_seed in (seed, seed + 1, seed):  # the repeat runs the chain again with the same seed
+        expected = result_of(reference_chain, initial, thetas, trial_seed)
+        assert result_of(sequential_chain, initial, thetas, trial_seed) == expected
+
+
+def test_sampled_impossible_outcome_raises_the_collapse_error(monkeypatch):
+    with pytest.raises(ValueError) as expected:
+        collapse(SPIN_UP, observable(math.pi), 1)
+
+    class DrawsZero:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return 0.0
+
+    monkeypatch.setattr(spin, "random", SimpleNamespace(Random=DrawsZero))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has probability 0") as raised:
+            sequential_chain(SPIN_UP, [math.pi], 0)
+        assert str(raised.value) == str(expected.value)
