@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .groups import FiniteGroup, Matrix, make_coin_group, make_octahedral, mat_mul, mat_vec, octahedral_matrices
+from .groups import FiniteGroup, Matrix, make_coin_group, make_octahedral, octahedral_matrices
 from .tables import ProbabilityTable, uniform_table
 
 FACE_AXES: dict[int, tuple[int, int, int]] = {
@@ -23,8 +23,7 @@ FACE_AXES: dict[int, tuple[int, int, int]] = {
     6: (-1, 0, 0),
 }
 
-_UP = (0, 0, 1)
-_NORTH = (0, 1, 0)
+_FACE_ON_AXIS = {axis: face for face, axis in FACE_AXES.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -56,17 +55,12 @@ class DieOrientation:
 
 
 def _orientation_of(matrix: Matrix) -> DieOrientation:
-    """Read off (up, north) after applying ``matrix`` to the reference placement."""
-    up = north = None
-    for face, axis in FACE_AXES.items():
-        moved = mat_vec(matrix, axis)
-        if moved == _UP:
-            up = face
-        elif moved == _NORTH:
-            north = face
-    if up is None or north is None:
-        raise ValueError("matrix is not a cube rotation")
-    return DieOrientation(up, north)
+    """Read off (up, north) after applying ``matrix`` to the reference placement.
+
+    A rotation's inverse is its transpose, so the face it carries to +z (up)
+    lies on row 3 and the face it carries to +y (north) lies on row 2.
+    """
+    return DieOrientation(_FACE_ON_AXIS[matrix[2]], _FACE_ON_AXIS[matrix[1]])
 
 
 @cache
@@ -108,15 +102,18 @@ def coin_action() -> GroupAction:
 
 @cache
 def die_action() -> GroupAction:
-    """The octahedral group permuting the 24 die orientations (simply transitive)."""
+    """The octahedral group permuting the 24 die orientations (simply transitive).
+
+    Rotation h turns the reference placement to state ``placed[h]``, and g then
+    turns it to ``placed[g∘h]``: the action is the group table, relabelled.
+    """
     group = make_octahedral()
-    mats = octahedral_matrices()
     states = all_orientations()
     index = {o: i for i, o in enumerate(states)}
-    matrix_of = {_orientation_of(m): m for m in mats}
+    placed = [index[_orientation_of(m)] for m in octahedral_matrices()]
+    rotation_at = {s: h for h, s in enumerate(placed)}
     act = tuple(
-        tuple(index[_orientation_of(mat_mul(g, matrix_of[s]))] for s in states)
-        for g in mats
+        tuple(placed[row[rotation_at[s]]] for s in range(len(states))) for row in group.table
     )
     return GroupAction(group, tuple(o.label for o in states), act)
 

@@ -209,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="sequential spin measurements")
     p.set_defaults(kind="spin_chain")
     p.add_argument("--thetas", required=True, help="comma-separated angles in radians")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
     _add_common(p)
 
     p = sub.add_parser("scenario", help="run a scenario document")

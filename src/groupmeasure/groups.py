@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
 
 Matrix = tuple[tuple[int, int, int], ...]
 
@@ -131,37 +130,29 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _from_table(f"{g.label}x{h.label}", table)
 
 
-def _det3(m: Matrix) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
 
 
-def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
+_SIGNED_AXES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+
+def _cross(y: tuple[int, int, int], z: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])
 
 
 @cache
 def octahedral_matrices() -> tuple[Matrix, ...]:
-    """The 24 proper rotations of the cube as integer matrices, in canonical (sorted) order."""
-    mats = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            rows = [[0, 0, 0] for _ in range(3)]
-            for i in range(3):
-                rows[i][perm[i]] = signs[i]
-            m: Matrix = tuple(tuple(r) for r in rows)
-            if _det3(m) == 1:
-                mats.append(m)
-    return tuple(sorted(mats))
+    """The 24 proper rotations of the cube as integer matrices, in canonical (sorted) order.
+
+    A rotation's rows are orthonormal and right-handed: rows 2 and 3 are two signed
+    unit axes at right angles, and row 1 is their cross product, which is zero
+    exactly when the two axes are parallel.
+    """
+    frames = ((_cross(y, z), y, z) for y in _SIGNED_AXES for z in _SIGNED_AXES)
+    return tuple(sorted(m for m in frames if m[0] != (0, 0, 0)))
 
 
 @cache

@@ -28,6 +28,7 @@ _QUAD_TOL = 1e-12
 _QUAD_MAX_DEPTH = 40
 _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
+_PROBE_POINTS = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,9 @@ def scale_family() -> OneParamFamily:
     return OneParamFamily(SCALE, lambda a, b: a * b, 1.0)
 
 
-def custom_family(
-    compose: Callable[[float, float], float],
-    identity: float,
-    probe_points: tuple[float, ...] = (0.5, 1.0, 2.0),
-) -> OneParamFamily:
+def custom_family(compose: Callable[[float, float], float], identity: float) -> OneParamFamily:
     """Family from a user composition law; checks phi(a, e) = a at the probe points."""
-    for a in probe_points:
+    for a in _PROBE_POINTS:
         value = compose(a, identity)
         if not math.isfinite(value) or abs(value - a) > _IDENTITY_TOL * max(1.0, abs(a)):
             raise ValueError(

@@ -104,13 +104,15 @@ def _spin_quarter(state: tuple[int, int, int]) -> tuple[int, int, int]:
     return up, east, 7 - north
 
 
-def cube_rotation_census(start: tuple[int, int, int] = (3, 2, 1)) -> dict[int, int]:
+def cube_rotation_census() -> dict[int, int]:
     """Element-order census of the die rotations, built by generator closure.
 
-    States are (up, north, east) face triples reached from ``start`` by the
-    two quarter-turn generators; rotations are the generated permutations of
-    those states and an element's order is the lcm of its cycle lengths.
+    States are (up, north, east) face triples reached from the reference
+    placement ``start`` by the two quarter-turn generators; rotations are the
+    generated permutations of those states and an element's order is the lcm
+    of its cycle lengths.
     """
+    start = (3, 2, 1)
     states = {start}
     frontier = [start]
     while frontier:

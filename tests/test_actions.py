@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from groupmeasure.actions import (
+    FACE_AXES,
     DieOrientation,
     GroupAction,
     all_orientations,
@@ -10,7 +11,7 @@ from groupmeasure.actions import (
     die_action,
     uniform_over_action,
 )
-from groupmeasure.groups import make_cyclic
+from groupmeasure.groups import make_cyclic, make_octahedral, mat_mul, octahedral_matrices
 from groupmeasure.oracle import enumerate_die_orientations
 
 
@@ -62,6 +63,30 @@ def test_die_action_is_a_homomorphism():
             gh = action.group.compose(g, h)
             for s in range(0, 24, 5):
                 assert action.apply(g, action.apply(h, s)) == action.apply(gh, s)
+
+
+def _orientation_after(m):
+    # Apply m to every face axis of the reference placement; read which face lands up and north.
+    face_at = {
+        tuple(sum(m[i][k] * axis[k] for k in range(3)) for i in range(3)): face
+        for face, axis in FACE_AXES.items()
+    }
+    return DieOrientation(face_at[(0, 0, 1)], face_at[(0, 1, 0)])
+
+
+def test_die_action_moves_each_orientation_by_the_rotation_product():
+    action = die_action()
+    mats = octahedral_matrices()
+    matrix_of = {_orientation_after(m).label: m for m in mats}
+    assert sorted(matrix_of) == sorted(action.states)
+    for g, m_g in enumerate(mats):
+        for s, label in enumerate(action.states):
+            moved = _orientation_after(mat_mul(m_g, matrix_of[label]))
+            assert action.states[action.act[g][s]] == moved.label
+
+
+def test_die_action_group_is_the_octahedral_group():
+    assert die_action().group == make_octahedral()
 
 
 def test_uniform_over_die_action():

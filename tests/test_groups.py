@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 
 from groupmeasure.groups import (
@@ -6,6 +8,7 @@ from groupmeasure.groups import (
     make_cyclic,
     make_dihedral,
     make_octahedral,
+    octahedral_matrices,
 )
 from groupmeasure.oracle import verify_group_axioms
 
@@ -76,6 +79,24 @@ def test_octahedral_order_and_identity_action():
 
 def test_octahedral_element_order_census():
     assert make_octahedral().order_census() == {1: 1, 2: 9, 3: 8, 4: 6}
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def test_octahedral_matrices_are_the_sorted_signed_permutations_of_determinant_one():
+    reference = []
+    for perm in permutations(range(3)):
+        for signs in product((1, -1), repeat=3):
+            m = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(3)) for i in range(3))
+            if _det3(m) == 1:
+                reference.append(m)
+    assert octahedral_matrices() == tuple(sorted(reference))
 
 
 def test_coin_group_flip_is_an_involution():
