@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any
 
 from . import oracle, scenarios
-from .groups import direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
 from .scenarios import Report, Scenario, ScenarioError, run
 
 
@@ -38,33 +37,28 @@ def _text_value(value: Any) -> str:
 
 
 def render(report: Report, fmt: str = "table") -> str:
-    """Render a report as aligned text, one JSON object, or CSV rows."""
+    """Render a report as aligned text, one JSON object, or CSV rows.
+
+    Finite kinds list their outcomes and the others their records; every format lays out
+    the same ``(name, columns, rows)``, and a report without rows shows only its summary.
+    """
+    if report.outcomes is not None:
+        name, columns, rows = "outcomes", ("label", "probability"), report.outcomes.outcomes
+    else:
+        name, columns, rows = "records", report.columns, report.records
+
     if fmt == "json":
         doc: dict[str, Any] = {"kind": report.kind}
-        for key, value in report.summary:
-            doc[key] = _json_value(value)
-        if report.outcomes is not None:
-            doc["outcomes"] = [
-                {"label": label, "probability": str(p)} for label, p in report.outcomes.outcomes
-            ]
-        if report.records:
-            doc["records"] = [
-                {col: _json_value(v) for col, v in zip(report.columns, row)}
-                for row in report.records
-            ]
+        doc.update((key, _json_value(value)) for key, value in report.summary)
+        if rows:
+            doc[name] = [{col: _json_value(v) for col, v in zip(columns, row)} for row in rows]
         return json.dumps(doc, indent=2) + "\n"
 
     if fmt == "csv":
-        lines: list[str] = []
-        if report.outcomes is not None:
-            lines.append("label,probability")
-            lines.extend(f"{label},{p}" for label, p in report.outcomes.outcomes)
-        elif report.records:
-            lines.append(",".join(report.columns))
-            lines.extend(",".join(_text_value(v) for v in row) for row in report.records)
-        else:
-            lines.append("key,value")
-            lines.extend(f"{key},{_text_value(v)}" for key, v in report.summary)
+        if not rows:
+            columns, rows = ("key", "value"), report.summary
+        lines = [",".join(columns)]
+        lines.extend(",".join(_text_value(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
 
     if fmt != "table":
@@ -72,93 +66,13 @@ def render(report: Report, fmt: str = "table") -> str:
 
     lines = [f"kind: {report.kind}"]
     lines.extend(f"{key}: {_text_value(value)}" for key, value in report.summary)
-    if report.outcomes is not None:
-        width = max(len(label) for label, _ in report.outcomes.outcomes)
-        width = max(width, len("outcome"))
+    if rows:
+        header = ("outcome", "probability") if name == "outcomes" else columns
+        cells = [header] + [tuple(_text_value(v) for v in row) for row in rows]
+        widths = [max(map(len, column)) for column in zip(*cells)]
         lines.append("")
-        lines.append(f"{'outcome'.ljust(width)}  probability")
-        lines.extend(f"{label.ljust(width)}  {p}" for label, p in report.outcomes.outcomes)
-    elif report.records:
-        cells = [tuple(_text_value(v) for v in row) for row in report.records]
-        widths = [
-            max(len(report.columns[i]), max(len(row[i]) for row in cells))
-            for i in range(len(report.columns))
-        ]
-        lines.append("")
-        lines.append("  ".join(c.ljust(w) for c, w in zip(report.columns, widths)))
-        lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells)
+        lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
     return "\n".join(lines) + "\n"
-
-
-def _selftest_reports() -> list[oracle.CheckReport]:
-    """The oracle suite: exhaustive group checks plus numeric cross-checks."""
-    import math
-
-    from . import haar, spin
-    from .actions import all_orientations
-
-    reports = []
-    for group in (
-        make_coin_group(),
-        make_cyclic(4),
-        make_dihedral(3),
-        make_octahedral(),
-        direct_product(make_dihedral(3), make_cyclic(4)),
-    ):
-        reports.append(oracle.verify_group_axioms(group))
-
-    pairs = {(o.up, o.north) for o in oracle.enumerate_die_orientations()}
-    built = {(o.up, o.north) for o in all_orientations()}
-    reports.append(
-        oracle.CheckReport(
-            "die-orientations",
-            pairs == built and len(pairs) == 24,
-            float(len(pairs ^ built)),
-            f"{len(pairs)} enumerated",
-        )
-    )
-
-    census = oracle.cube_rotation_census()
-    expected = {1: 1, 2: 9, 3: 8, 4: 6}
-    reports.append(
-        oracle.CheckReport(
-            "octahedral-order-census",
-            census == expected == make_octahedral().order_census(),
-            0.0 if census == expected else 1.0,
-            str(census),
-        )
-    )
-
-    log2 = oracle.integrate(lambda x: 1.0 / x, 1.0, 2.0, 1e-12)
-    reports.append(
-        oracle.CheckReport("quadrature-log2", abs(log2 - math.log(2)) <= 1e-10, abs(log2 - math.log(2)))
-    )
-
-    d = haar.normalize(haar.scale_family(), haar.IntervalConstraint(1.0, 4.0))
-    mass = oracle.integrate(d.density_at, 1.0, 4.0, 1e-12)
-    reports.append(oracle.CheckReport("density-normalization", abs(mass - 1.0) <= 1e-10, abs(mass - 1.0)))
-
-    worst = 0.0
-    for theta in [0.0, math.pi / 3, math.pi / 2, 2.0, 4.0]:
-        obs = spin.observable(theta)
-        (_, v_plus), (_, v_minus) = spin.eigensystem(obs)
-        (hi, u_plus), (lo, u_minus) = oracle.symmetric_eigensolver_2x2(obs.matrix)
-        worst = max(
-            worst,
-            abs(hi - 1.0),
-            abs(lo + 1.0),
-            abs(u_plus[0] - v_plus.up.real),
-            abs(u_plus[1] - v_plus.down.real),
-            abs(u_minus[0] - v_minus.up.real),
-            abs(u_minus[1] - v_minus.down.real),
-        )
-    reports.append(oracle.CheckReport("eigensolver-cross-check", worst <= 1e-12, worst))
-
-    chain = lambda i: spin.sequential_chain(spin.SPIN_UP, [math.pi / 2], 1_000 + i)[-1].eigenvalue
-    reports.append(
-        oracle.frequency_test(chain, lambda v: v == 1, 0.5, 20_000, name="spin-frequency")
-    )
-    return reports
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -259,14 +173,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
-            reports = _selftest_reports()
+            reports = oracle.selftest()
             _emit(oracle.render_reports(reports), args.out)
             return 0 if all(r.passed for r in reports) else 1
         scenario = _scenario_from_args(args)
         report = run(scenario)
         _emit(render(report, args.format), args.out)
         return 0
-    except (ScenarioError, ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:  # OSError: an --out path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -128,9 +128,13 @@ class NormalizedDensity:
         return {TRANSLATION: "constant", SCALE: "reciprocal"}.get(self.family.kind, "custom")
 
     def density_at(self, x: float) -> float:
+        """Normalized weight at x, 0 outside the support; ValueError where it overflows binary64."""
         if not self.support.contains(x):
             return 0.0
-        return haar_weight(self.family, x) / self.normalizer
+        value = haar_weight(self.family, x) / self.normalizer
+        if not math.isfinite(value):
+            raise ValueError(f"density at x={x} overflows binary64")
+        return value
 
     def cdf(self, x: float) -> float:
         if x <= self.support.lower:

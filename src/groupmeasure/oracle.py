@@ -5,7 +5,8 @@ Nothing here reuses the computation paths it is meant to check: die
 orientations come from a brute-force pair filter rather than rotation
 matrices, the rotation census from generator closure, eigenvectors from the
 characteristic equation rather than half-angle forms, and the quadrature is
-a separate implementation.
+a separate implementation.  ``selftest()`` is the one place that pairs the
+package's paths with these checks; ``groupmeasure selftest`` prints it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .actions import DieOrientation
-from .groups import FiniteGroup
+from . import haar, spin
+from .actions import DieOrientation, all_orientations
+from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
 
 EigenPair = tuple[float, tuple[float, float]]
 
@@ -260,3 +262,66 @@ def frequency_test(
 
 def render_reports(reports: Iterable[CheckReport]) -> str:
     return "\n".join(r.line() for r in reports) + "\n"
+
+
+def selftest() -> list[CheckReport]:
+    """The battery: exhaustive group checks plus numeric cross-checks of the package's paths."""
+    reports = [
+        verify_group_axioms(group)
+        for group in (
+            make_coin_group(),
+            make_cyclic(4),
+            make_dihedral(3),
+            make_octahedral(),
+            direct_product(make_dihedral(3), make_cyclic(4)),
+        )
+    ]
+
+    pairs = {(o.up, o.north) for o in enumerate_die_orientations()}
+    built = {(o.up, o.north) for o in all_orientations()}
+    reports.append(
+        CheckReport(
+            "die-orientations",
+            pairs == built and len(pairs) == 24,
+            float(len(pairs ^ built)),
+            f"{len(pairs)} enumerated",
+        )
+    )
+
+    census = cube_rotation_census()
+    expected = {1: 1, 2: 9, 3: 8, 4: 6}
+    reports.append(
+        CheckReport(
+            "octahedral-order-census",
+            census == expected == make_octahedral().order_census(),
+            0.0 if census == expected else 1.0,
+            str(census),
+        )
+    )
+
+    log2 = integrate(lambda x: 1.0 / x, 1.0, 2.0, 1e-12)
+    reports.append(CheckReport("quadrature-log2", abs(log2 - math.log(2)) <= 1e-10, abs(log2 - math.log(2))))
+
+    d = haar.normalize(haar.scale_family(), haar.IntervalConstraint(1.0, 4.0))
+    mass = integrate(d.density_at, 1.0, 4.0, 1e-12)
+    reports.append(CheckReport("density-normalization", abs(mass - 1.0) <= 1e-10, abs(mass - 1.0)))
+
+    worst = 0.0
+    for theta in [0.0, math.pi / 3, math.pi / 2, 2.0, 4.0]:
+        obs = spin.observable(theta)
+        (_, v_plus), (_, v_minus) = spin.eigensystem(obs)
+        (hi, u_plus), (lo, u_minus) = symmetric_eigensolver_2x2(obs.matrix)
+        worst = max(
+            worst,
+            abs(hi - 1.0),
+            abs(lo + 1.0),
+            abs(u_plus[0] - v_plus.up.real),
+            abs(u_plus[1] - v_plus.down.real),
+            abs(u_minus[0] - v_minus.up.real),
+            abs(u_minus[1] - v_minus.down.real),
+        )
+    reports.append(CheckReport("eigensolver-cross-check", worst <= 1e-12, worst))
+
+    chain = lambda i: spin.sequential_chain(spin.SPIN_UP, [math.pi / 2], 1_000 + i)[-1].eigenvalue
+    reports.append(frequency_test(chain, lambda v: v == 1, 0.5, 20_000, name="spin-frequency"))
+    return reports

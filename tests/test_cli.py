@@ -106,6 +106,33 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["kind"] == "coin"
 
 
+@pytest.mark.parametrize("command", [["coin", "--format", "json"], ["selftest"]], ids=["coin", "selftest"])
+@pytest.mark.parametrize("target", ["missing/report.txt", "."], ids=["missing-directory", "directory"])
+def test_out_that_cannot_be_written_is_one_error_line(tmp_path, capsys, command, target):
+    code, out, err = run_cli(capsys, *command, "--out", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize(
+    "bounds",
+    [("translation", "0", "5e-324"), ("scale", "1e-320", "1e-300")],
+    ids=["translation", "scale"],
+)
+def test_prior_whose_density_overflows_is_an_error(capsys, fmt, bounds):
+    family, lower, upper = bounds
+    code, out, err = run_cli(
+        capsys, "prior", "--family", family, "--lower", lower, "--upper", upper, "--format", fmt
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: interval scenario failed: density at x=")
+    assert "overflows binary64" in err
+
+
 def test_scenario_run_file(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text('{"kind":"von_mises","ratio_lower":1,"ratio_upper":2}')

@@ -14,7 +14,9 @@ explains them.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -80,14 +82,40 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.txt"
 
 
+def _visible_diff(name: str, expected: str, actual: str) -> str:
+    """Unified diff with each line as its repr, so a change at a line end shows."""
+    diff = difflib.unified_diff(
+        [repr(line) for line in expected.splitlines(keepends=True)],
+        [repr(line) for line in actual.splitlines(keepends=True)],
+        fromfile=f"tests/golden/{name}.txt",
+        tofile="actual",
+        lineterm="",
+    )
+    return "\n".join(diff)
+
+
 def test_cli_output_matches_golden_corpus():
     differing = []
     for name, argv in CASES.items():
         path = golden_path(name)
-        expected = path.read_bytes().decode("utf-8") if path.exists() else None
-        if run_case(argv) != expected:
-            differing.append(name)
-    assert not differing, f"CLI output differs from tests/golden for: {', '.join(differing)}"
+        expected = path.read_bytes().decode("utf-8") if path.exists() else ""
+        actual = run_case(argv)
+        if actual != expected:
+            differing.append(_visible_diff(name, expected, actual))
+    assert not differing, "CLI output differs from tests/golden:\n" + "\n".join(differing)
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_json_goldens_are_strict_json():
+    names = [name for name in CASES if name.endswith(".json")]
+    assert names
+    for name in names:
+        stdout = golden_path(name).read_text(encoding="utf-8").split("--- stdout\n", 1)[1]
+        stdout = stdout.rsplit("--- stderr\n", 1)[0]
+        json.loads(stdout, parse_constant=_refuse_constant)
 
 
 def regenerate() -> None:

@@ -94,6 +94,17 @@ def test_jeffreys_density_value():
     assert d.density_at(2.5) == 0.0
 
 
+@pytest.mark.parametrize(
+    "family, lower, upper, x",
+    [(TRANSLATION, 0.0, 5e-324, 0.0), (SCALE, 1e-320, 1e-300, 1e-320)],
+    ids=["translation-subnormal-width", "scale-subnormal-lower"],
+)
+def test_density_that_overflows_binary64_is_refused(family, lower, upper, x):
+    d = normalize(family, IntervalConstraint(lower, upper))
+    with pytest.raises(ValueError, match="overflows binary64"):
+        d.density_at(x)
+
+
 def test_translation_cdf_is_proportional_length():
     d = normalize(TRANSLATION, IntervalConstraint(0.0, 10.0))
     assert d.cdf(2.5) == pytest.approx(0.25, abs=1e-15)
