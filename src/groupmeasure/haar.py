@@ -14,18 +14,22 @@ deterministic given an explicit seed.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 TRANSLATION = "translation"
 SCALE = "scale"
 CUSTOM = "custom"
 
+_COMPLEX_STEP = 2.0**-100  # a power of two, so that dividing it out is exact
 _FD_STEP = float(2.0**-52) ** (1.0 / 3.0)  # cbrt of machine epsilon
-_QUAD_TOL = 1e-12
-_QUAD_MAX_DEPTH = 40
+_QUAD_REL_TOL = 1e-10
+_QUAD_BUDGET = 15 * 10_000  # weight evaluations per custom density
 _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
@@ -85,8 +89,8 @@ class IntervalConstraint:
 def haar_weight(f: OneParamFamily, p: float) -> float:
     """Left-invariant weight at parameter p.
 
-    Closed form for the built-in families; central finite difference of the
-    composition law (step scaled to p) for custom families.
+    Closed form for the built-in families.  A custom family's rate is the complex step
+    Im compose(p, e + ih) / h, or a central difference with step scaled to e if b cannot be complex.
     """
     if not math.isfinite(p):
         raise ValueError(f"parameter must be finite, got {p}")
@@ -96,8 +100,11 @@ def haar_weight(f: OneParamFamily, p: float) -> float:
         if p <= 0:
             raise ValueError(f"scale family is defined on positive reals, got {p}")
         return 1.0 / p
-    h = _FD_STEP * max(abs(p), 1.0)
-    rate = (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
+    try:
+        rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
+    except TypeError:
+        h = _FD_STEP * max(abs(f.identity), 1.0)
+        rate = (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
@@ -111,7 +118,7 @@ def haar_measure(f: OneParamFamily, c: IntervalConstraint) -> float:
         if c.lower <= 0:
             raise ValueError(f"scale family needs a positive interval, got lower={c.lower}")
         return math.log(c.upper / c.lower)
-    return _adaptive_simpson(lambda x: haar_weight(f, x), c.lower, c.upper)
+    return _weight_table(f, c)[1][-1]
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,9 @@ class NormalizedDensity:
     family: OneParamFamily
     support: IntervalConstraint
     normalizer: float
+    # Custom families: the quadrature's panel edges, and the weight integral up to each.
+    edges: tuple[float, ...] = field(default=(), repr=False)
+    cumulative: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def form(self) -> str:
@@ -128,7 +138,9 @@ class NormalizedDensity:
         return {TRANSLATION: "constant", SCALE: "reciprocal"}.get(self.family.kind, "custom")
 
     def density_at(self, x: float) -> float:
-        """Normalized weight at x, 0 outside the support; ValueError where it overflows binary64."""
+        """Normalized weight at x, 0 outside the support; ValueError at nan or where it overflows binary64."""
+        if math.isnan(x):
+            raise ValueError("density at x=nan is undefined")
         if not self.support.contains(x):
             return 0.0
         value = haar_weight(self.family, x) / self.normalizer
@@ -137,6 +149,9 @@ class NormalizedDensity:
         return value
 
     def cdf(self, x: float) -> float:
+        """Mass below x; for a custom family, the table at the edge below x plus one GK15 rule."""
+        if math.isnan(x):
+            raise ValueError("cdf at x=nan is undefined")
         if x <= self.support.lower:
             return 0.0
         if x >= self.support.upper:
@@ -145,13 +160,12 @@ class NormalizedDensity:
             return (x - self.support.lower) / self.normalizer
         if self.family.kind == SCALE:
             return math.log(x / self.support.lower) / self.normalizer
-        partial = _adaptive_simpson(
-            lambda t: haar_weight(self.family, t), self.support.lower, x
-        )
+        i = bisect.bisect_right(self.edges, x) - 1
+        partial = self.cumulative[i] + _gk15(self.family, self.edges[i], x)[0]
         return min(1.0, max(0.0, partial / self.normalizer))
 
     def quantile(self, q: float) -> float:
-        """Inverse of cdf; closed form where available, else bisection."""
+        """Inverse of cdf; closed form where available, else bisection inside the table's panel."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
@@ -159,6 +173,8 @@ class NormalizedDensity:
             return lo + q * self.normalizer
         if self.family.kind == SCALE:
             return lo * (hi / lo) ** q
+        i = min(bisect.bisect_right(self.cumulative, q * self.normalizer), len(self.edges) - 1) - 1
+        lo, hi = self.edges[i], self.edges[i + 1]
         while hi - lo > _BISECT_WIDTH:
             mid = 0.5 * (lo + hi)
             if self.cdf(mid) < q:
@@ -197,10 +213,11 @@ class NormalizedDensity:
 
 def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     """Normalize the invariant weight over the observation interval."""
-    normalizer = haar_measure(f, c)
+    edges, cumulative = _weight_table(f, c) if f.kind == CUSTOM else ((), ())
+    normalizer = cumulative[-1] if cumulative else haar_measure(f, c)
     if not math.isfinite(normalizer) or normalizer <= 0:
         raise ValueError(f"weight integral over [{c.lower}, {c.upper}] is {normalizer}")
-    return NormalizedDensity(f, c, normalizer)
+    return NormalizedDensity(f, c, normalizer, edges, cumulative)
 
 
 @dataclass(frozen=True)
@@ -230,25 +247,47 @@ def von_mises_reduce(s: VonMisesScenario) -> NormalizedDensity:
     return normalize(translation_family(), IntervalConstraint(lo, hi))
 
 
-def _adaptive_simpson(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Adaptive Simpson quadrature to absolute tolerance 1e-12, max depth 40."""
+# Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK 1983): (node, Kronrod
+# weight, Gauss weight) for the positive nodes; the rule is symmetric about 0.
+_GK15 = (
+    (0.991455371120812639, 0.022935322010529225, 0.0),
+    (0.949107912342758525, 0.063092092629978553, 0.129484966168869693),
+    (0.864864423359769073, 0.104790010322250184, 0.0),
+    (0.741531185599394440, 0.140653259715525919, 0.279705391489276668),
+    (0.586087235467691130, 0.169004726639267903, 0.0),
+    (0.405845151377397167, 0.190350578064785410, 0.381830050505118945),
+    (0.207784955007898468, 0.204432940075298892, 0.0),
+)
+_GK15_CENTER = (0.209482141084727828, 0.417959183673469388)
 
-    def simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        if depth >= _QUAD_MAX_DEPTH or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return recurse(a, m, fa, flm, fm, left, half, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, half, depth + 1
-        )
+def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
+    """Kronrod 15-point integral of f's weight over [a, b], and its distance from the Gauss 7-point one."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    f_center = haar_weight(f, center)
+    kronrod, gauss = _GK15_CENTER[0] * f_center, _GK15_CENTER[1] * f_center
+    for x, wk, wg in _GK15:
+        pair = haar_weight(f, center - half * x) + haar_weight(f, center + half * x)
+        kronrod += wk * pair
+        gauss += wg * pair
+    return half * kronrod, half * abs(kronrod - gauss)
 
-    fa, fb = fn(lo), fn(hi)
-    fm = fn(0.5 * (lo + hi))
-    return recurse(lo, hi, fa, fm, fb, simpson(lo, hi, fa, fm, fb), _QUAD_TOL, 0)
+
+def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Panel edges over c and the weight integral up to each, halving the worst GK15 panel until converged."""
+    value, error = _gk15(f, c.lower, c.upper)
+    panels = [(-error, c.lower, c.upper, value)]
+    total, total_error = value, error
+    while total_error > _QUAD_REL_TOL * total:
+        if 15 * (2 * len(panels) + 1) > _QUAD_BUDGET:  # the evaluations after one more halving
+            raise ValueError(f"weight integral over [{c.lower}, {c.upper}] needs > {_QUAD_BUDGET} evaluations")
+        neg_error, a, b, value = heapq.heappop(panels)
+        total, total_error = total - value, total_error + neg_error
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            value, error = _gk15(f, lo, hi)
+            heapq.heappush(panels, (-error, lo, hi, value))
+            total, total_error = total + value, total_error + error
+    panels.sort(key=lambda panel: panel[1])
+    edges = (c.lower, *(panel[2] for panel in panels))
+    return edges, (0.0, *itertools.accumulate(panel[3] for panel in panels))

@@ -1,7 +1,9 @@
+import contextlib
 import math
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupmeasure.haar import (
@@ -19,6 +21,13 @@ from groupmeasure.oracle import integrate
 
 TRANSLATION = translation_family()
 SCALE = scale_family()
+
+# Custom laws with a closed-form weight: composition, identity, weight.
+CUSTOM_LAWS = {
+    "a*b": (lambda a, b: a * b, 1.0, lambda p: 1.0 / p),
+    "a+b+ab": (lambda a, b: a + b + a * b, 0.0, lambda p: 1.0 / (1.0 + p)),
+    "a*exp(b)": (lambda a, b: a * math.exp(b), 0.0, lambda p: 1.0 / p),
+}
 
 moderate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -48,7 +57,61 @@ def test_custom_family_rejects_bogus_identity():
         custom_family(lambda a, b: a * b + 1.0, identity=0.0)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("law", ["a*b", "a+b+ab"])
+def test_complex_step_weight_is_exact(law):
+    compose, identity, weight = CUSTOM_LAWS[law]
+    family = custom_family(compose, identity)
+    for p in (1e-6, 0.3, 1.0, 2.0, 17.25, 3000.0, 1e6):
+        assert haar_weight(family, p) == weight(p)
+
+
+def test_finite_difference_step_scales_with_the_identity_not_p():
+    # math.exp refuses a complex b, so this law takes the finite-difference path.
+    family = custom_family(lambda a, b: a * math.exp(b), identity=0.0)
+    for p in (3000.0, 1e5, 1e6):
+        assert abs(haar_weight(family, p) * p - 1.0) <= 1e-10
+    with deadline(1.0):
+        d = normalize(family, IntervalConstraint(3.0, 3000.0))
+    assert d.normalizer == pytest.approx(math.log(1000.0), rel=1e-10)
+
+
+def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
+    family = custom_family(lambda a, b: a + b * (1 + 0.5 * math.sin(1e4 * a)), identity=0.0)
+    with deadline(1.0):
+        try:
+            d = normalize(family, IntervalConstraint(0.0, 1.0))
+        except ValueError as refused:
+            assert "evaluations" in str(refused)
+        else:
+            assert d.normalizer == pytest.approx(1.154577482912893, rel=1e-10)
+
+
+@pytest.mark.parametrize("lower, upper", [(1.0, 100.0), (0.01, 1.0), (1e-6, 1.0)])
+def test_scale_law_over_a_wide_ratio_normalizes_in_bounded_time(lower, upper):
+    family = custom_family(lambda a, b: a * b, identity=1.0)
+    with deadline(1.0):
+        d = normalize(family, IntervalConstraint(lower, upper))
+    assert d.normalizer == pytest.approx(math.log(upper / lower), rel=1e-12)
+
+
 def test_custom_weight_grid_matches_closed_forms():
+    # The exponential law refuses a complex b: this checks the finite-difference fallback.
     additive = custom_family(lambda a, b: a + b, identity=0.0)
     multiplicative = custom_family(lambda a, b: a * b, identity=1.0)
     exponential = custom_family(lambda a, b: a * math.exp(b), identity=0.0)
@@ -103,6 +166,19 @@ def test_density_that_overflows_binary64_is_refused(family, lower, upper, x):
     d = normalize(family, IntervalConstraint(lower, upper))
     with pytest.raises(ValueError, match="overflows binary64"):
         d.density_at(x)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [TRANSLATION, SCALE, custom_family(lambda a, b: a * b, identity=1.0)],
+    ids=["translation", "scale", "custom"],
+)
+def test_nan_point_is_refused(family):
+    d = normalize(family, IntervalConstraint(1.0, 4.0))
+    with pytest.raises(ValueError, match="nan"):
+        d.cdf(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        d.density_at(math.nan)
 
 
 def test_translation_cdf_is_proportional_length():
@@ -294,3 +370,35 @@ def test_quantile_inverts_cdf(x, kind):
     d = normalize(family, IntervalConstraint(1.0, 9.0))
     point = 1.0 + x * 8.0
     assert d.quantile(d.cdf(point)) == pytest.approx(point, abs=1e-8)
+
+
+@settings(max_examples=30, deadline=250)
+@given(
+    law=st.sampled_from(sorted(CUSTOM_LAWS)),
+    ends=st.lists(st.floats(min_value=-6.0, max_value=6.0), min_size=2, max_size=2),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=4),
+)
+def test_custom_cdf_matches_the_oracle_and_quantile_inverts_it(law, ends, fractions):
+    compose, identity, weight = CUSTOM_LAWS[law]
+    assume(abs(ends[0] - ends[1]) >= 1e-3)
+    lo, hi = 10.0 ** min(ends), 10.0 ** max(ends)
+    d = normalize(custom_family(compose, identity), IntervalConstraint(lo, hi))
+    logs = sorted(math.log(lo) + t * math.log(hi / lo) for t in fractions)
+    points = [min(hi, max(lo, math.exp(u))) for u in logs]
+    masses = [d.cdf(x) for x in points]
+    assert masses == sorted(masses)
+    # The oracle integrates the closed-form weight, since the finite-difference weight
+    # of a*exp(b) is noisier than its absolute tolerance; and it does so over u = log x,
+    # where the weight times x stays bounded on intervals as wide as [1e-6, 1e6].
+    def mass_density(u):
+        return weight(math.exp(u)) * math.exp(u) / d.normalizer
+
+    for u, mass in zip(logs, masses):
+        reference = integrate(mass_density, math.log(lo), u, 1e-10) if u > math.log(lo) else 0.0
+        assert abs(mass - reference) <= 1e-9
+    # The quantile bisection stops at an absolute width of 1e-12: it never stops
+    # where float spacing exceeds that (from 8192 on), and it resolves no finer
+    # than 1e-12 (ROADMAP numeric core, the quantile stop).
+    if hi <= 4096.0 and hi - lo >= 1e-3:
+        for x, mass in zip(points, masses):
+            assert abs(d.quantile(mass) - x) <= 1e-9 * (hi - lo)
