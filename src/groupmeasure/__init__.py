@@ -5,58 +5,4 @@ one-parameter continuous families give invariant densities on observation
 intervals; spin-1/2 measurement gives amplitude-squared probabilities.
 """
 
-from .actions import (
-    DieOrientation,
-    GroupAction,
-    all_orientations,
-    coin_action,
-    die_action,
-    uniform_over_action,
-)
-from .groups import (
-    FiniteGroup,
-    direct_product,
-    make_coin_group,
-    make_cyclic,
-    make_dihedral,
-    make_octahedral,
-)
-from .haar import (
-    IntervalConstraint,
-    NormalizedDensity,
-    OneParamFamily,
-    VonMisesScenario,
-    custom_family,
-    haar_measure,
-    haar_weight,
-    normalize,
-    scale_family,
-    translation_family,
-    von_mises_reduce,
-)
-from .oracle import (
-    CheckReport,
-    cube_rotation_census,
-    enumerate_die_orientations,
-    frequency_test,
-    integrate,
-    symmetric_eigensolver_2x2,
-    verify_group_axioms,
-)
-from .scenarios import Report, Scenario, ScenarioError, parse_scenario, run
-from .spin import (
-    SPIN_DOWN,
-    SPIN_UP,
-    MeasurementOutcome,
-    SpinObservable,
-    SpinRay,
-    amplitudes,
-    collapse,
-    eigensystem,
-    observable,
-    probabilities,
-    sequential_chain,
-)
-from .tables import ProbabilityTable, bayes_factorization_check, condition, marginalize
-
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import oracle, scenarios
+from . import scenarios
 from .scenarios import Report, Scenario, ScenarioError, run
 
 
@@ -173,6 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
+            from . import oracle
+
             reports = oracle.selftest()
             _emit(oracle.render_reports(reports), args.out)
             return 0 if all(r.passed for r in reports) else 1

@@ -117,8 +117,14 @@ def haar_measure(f: OneParamFamily, c: IntervalConstraint) -> float:
     if f.kind == SCALE:
         if c.lower <= 0:
             raise ValueError(f"scale family needs a positive interval, got lower={c.lower}")
-        return math.log(c.upper / c.lower)
+        return _log_ratio(c.upper, c.lower)
     return _weight_table(f, c)[1][-1]
+
+
+def _log_ratio(x: float, lower: float) -> float:
+    """log(x / lower); a difference of logs only where the ratio overflows binary64."""
+    ratio = x / lower
+    return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(lower)
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class NormalizedDensity:
         if self.family.kind == TRANSLATION:
             return (x - self.support.lower) / self.normalizer
         if self.family.kind == SCALE:
-            return math.log(x / self.support.lower) / self.normalizer
+            return _log_ratio(x, self.support.lower) / self.normalizer
         i = bisect.bisect_right(self.edges, x) - 1
         partial = self.cumulative[i] + _gk15(self.family, self.edges[i], x)[0]
         return min(1.0, max(0.0, partial / self.normalizer))
@@ -172,7 +178,8 @@ class NormalizedDensity:
         if self.family.kind == TRANSLATION:
             return lo + q * self.normalizer
         if self.family.kind == SCALE:
-            return lo * (hi / lo) ** q
+            ratio = hi / lo
+            return lo * ratio**q if ratio < math.inf else math.exp(math.log(lo) + q * self.normalizer)
         i = min(bisect.bisect_right(self.cumulative, q * self.normalizer), len(self.edges) - 1) - 1
         lo, hi = self.edges[i], self.edges[i + 1]
         while hi - lo > _BISECT_WIDTH:

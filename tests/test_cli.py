@@ -54,6 +54,18 @@ def test_prior_json_rounds_reals_to_12_digits(capsys):
     assert doc["normalizer"] == 0.69314718056
 
 
+def test_prior_scale_ratio_beyond_binary64(capsys):
+    code, out, err = run_cli(
+        capsys, "prior", "--family", "scale", "--lower", "1e-300", "--upper", "1e300",
+        "--at", "1", "--quantile", "0.5", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["normalizer"] == 1381.5510558
+    assert doc["cdf_at"] == 0.5
+    assert doc["quantile"] == pytest.approx(1.0, rel=1e-11)
+
+
 def test_von_mises_csv_grid(capsys):
     code, out, _ = run_cli(
         capsys, "von-mises", "--ratio-lower", "1", "--ratio-upper", "2", "--format", "csv"
@@ -206,8 +218,9 @@ def test_render_table_aligns_columns():
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    code = "import sys, groupmeasure.cli; print('numpy' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert result.stdout.strip() == "False"
+    for module in ("groupmeasure.cli", "groupmeasure.oracle"):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert result.stdout.strip() == "False", module

@@ -193,6 +193,15 @@ def test_scale_cdf_halves_at_geometric_midpoint():
     assert d.cdf(2.0) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_scale_family_beyond_the_binary64_ratio():
+    # 1e300 / 1e-300 overflows binary64, but the log of the ratio does not.
+    d = normalize(SCALE, IntervalConstraint(1e-300, 1e300))
+    assert d.normalizer == pytest.approx(600 * math.log(10), rel=1e-15)
+    assert d.cdf(1.0) == pytest.approx(0.5, rel=1e-14)
+    assert d.quantile(0.5) == pytest.approx(1.0, rel=1e-12)
+    assert d.quantile(1.0) == pytest.approx(1e300, rel=1e-12)
+
+
 def test_translation_quantile_midpoint():
     d = normalize(TRANSLATION, IntervalConstraint(2.0, 7.0))
     assert d.quantile(0.5) == pytest.approx(4.5, abs=1e-12)

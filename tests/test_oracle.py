@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupmeasure.groups import FiniteGroup, make_cyclic, make_octahedral
+from groupmeasure.groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_octahedral
 from groupmeasure.haar import IntervalConstraint, normalize, scale_family
 from groupmeasure.oracle import (
     CheckReport,
@@ -38,6 +38,67 @@ def test_corrupted_table_fails_axioms():
 
 def test_trivial_group_passes_axioms():
     assert verify_group_axioms(make_cyclic(1)).passed
+
+
+SMALL_GROUPS = [
+    make_cyclic(1),
+    make_cyclic(2),
+    make_cyclic(5),
+    make_cyclic(12),
+    make_dihedral(3),
+    make_dihedral(6),
+    direct_product(make_cyclic(2), make_cyclic(2)),
+    direct_product(make_cyclic(3), make_cyclic(2)),
+]
+
+
+def brute_force_axioms(g: FiniteGroup) -> tuple[bool, float, str]:
+    """The four axioms straight from their definitions, one element triple at a time."""
+    n, t, e = g.n, g.table, g.identity
+    closure = identity = inverse = associativity = 0
+    for a in range(n):
+        if t[e][a] != a or t[a][e] != a:
+            identity += 1
+        if not any(t[a][b] == e and t[b][a] == e for b in range(n)):
+            inverse += 1
+        for b in range(n):
+            if not 0 <= t[a][b] < n:
+                closure += 1
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    associativity += 1
+    counts = {"closure": closure, "identity": identity, "inverse": inverse, "associativity": associativity}
+    violations = sum(counts.values())
+    details = ",".join(name for name, count in counts.items() if count) or f"order {n}"
+    return violations == 0, float(violations), details
+
+
+@st.composite
+def corrupted_groups(draw):
+    """A small group whose table has some entries swapped within a row and some replaced by strays."""
+    g = draw(st.sampled_from(SMALL_GROUPS))
+    rows = [list(row) for row in g.table]
+    index = st.integers(0, g.n - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        a, i, j = draw(index), draw(index), draw(index)
+        if draw(st.booleans()):
+            rows[a][i], rows[a][j] = rows[a][j], rows[a][i]
+        else:
+            rows[a][i] = j
+    return FiniteGroup(f"{g.label}-corrupted", g.n, tuple(map(tuple, rows)), g.identity, g.inverse)
+
+
+@given(corrupted_groups())
+def test_row_sweep_matches_the_brute_force_definition(g):
+    report = verify_group_axioms(g)
+    assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(g)
+
+
+@pytest.mark.parametrize("g", [*SMALL_GROUPS, make_octahedral()], ids=lambda g: g.label)
+def test_row_sweep_matches_the_brute_force_definition_on_groups(g):
+    report = verify_group_axioms(g)
+    expected = brute_force_axioms(g)
+    assert (report.passed, report.worst_residual, report.details) == expected == (True, 0.0, f"order {g.n}")
 
 
 def test_axiom_check_refuses_huge_orders():
@@ -79,6 +140,12 @@ def test_integrate_normalized_density():
 def test_integrate_requires_ordered_bounds():
     with pytest.raises(ValueError, match="lower < upper"):
         integrate(lambda x: x, 2.0, 1.0, 1e-10)
+
+
+def test_integrate_exact_reciprocal_over_nine_decades():
+    # Each halving halves the absolute budget; it must not fall below a panel's own rounding.
+    value = integrate(lambda t: 1.0 / t, 1e-4, 1e5, 1e-10)
+    assert value == pytest.approx(math.log(1e9), rel=1e-13)
 
 
 def test_integrate_reports_non_convergence():
