@@ -175,11 +175,14 @@ class NormalizedDensity:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
-        if self.family.kind == TRANSLATION:
-            return lo + q * self.normalizer
-        if self.family.kind == SCALE:
-            ratio = hi / lo
-            return lo * ratio**q if ratio < math.inf else math.exp(math.log(lo) + q * self.normalizer)
+        if self.family.kind != CUSTOM:
+            if self.family.kind == TRANSLATION:
+                x = lo + q * self.normalizer
+            elif hi / lo < math.inf:
+                x = lo * (hi / lo) ** q
+            else:  # a difference of logs, whose sum can round past log(hi) and overflow exp
+                x = math.exp(min(math.log(lo) + q * self.normalizer, math.log(hi)))
+            return min(max(x, lo), hi)  # rounding can step outside the support
         i = min(bisect.bisect_right(self.cumulative, q * self.normalizer), len(self.edges) - 1) - 1
         lo, hi = self.edges[i], self.edges[i + 1]
         while hi - lo > _BISECT_WIDTH:

@@ -311,6 +311,7 @@ def selftest() -> list[CheckReport]:
         )
     reports.append(CheckReport("eigensolver-cross-check", worst <= 1e-12, worst))
 
-    chain = lambda i: spin.sequential_chain(spin.SPIN_UP, [math.pi / 2], 1_000 + i)[-1].eigenvalue
+    table = spin.transition_table(spin.SPIN_UP, [math.pi / 2])
+    chain = lambda i: spin.sequential_chain(table, 1_000 + i)[-1].eigenvalue
     reports.append(frequency_test(chain, lambda v: v == 1, 0.5, 20_000, name="spin-frequency"))
     return reports

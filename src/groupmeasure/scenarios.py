@@ -177,15 +177,14 @@ def _run_die(query: str, north: int | None) -> Report:
 def _density_report(
     kind: str, summary: list[tuple[str, Any]], d: haar.NormalizedDensity, extra: list[tuple[str, Any]]
 ) -> Report:
-    """Summary, the density's support and normalizer, then ``extra``; a plot grid of density and cdf."""
+    """Summary, the density's support and normalizer, then ``extra``; density and cdf at equal cdf steps."""
     summary = summary + [
         ("support_lower", d.support.lower),
         ("support_upper", d.support.upper),
         ("density_form", d.form),
         ("normalizer", d.normalizer),
     ] + extra
-    step = d.support.width / (GRID_POINTS - 1)
-    xs = [d.support.lower + i * step for i in range(GRID_POINTS - 1)] + [d.support.upper]
+    xs = [d.quantile(i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)]
     return Report(
         kind=kind,
         summary=tuple(summary),
@@ -290,9 +289,9 @@ def _parse_spin_chain(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
-    angles = list(thetas)
+    table = spin.transition_table(spin.SPIN_UP, thetas)
     if trials == 1:
-        trajectory = spin.sequential_chain(spin.SPIN_UP, angles, seed)
+        trajectory = spin.sequential_chain(table, seed)
         return Report(
             kind="spin_chain",
             summary=(("seed", seed), ("trials", 1), ("eigenvalue_unit", spin.EIGENVALUE_UNIT)),
@@ -302,7 +301,7 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
                 for step, (theta, outcome) in enumerate(zip(thetas, trajectory))
             ),
         )
-    finals = (spin.sequential_chain(spin.SPIN_UP, angles, seed + i)[-1] for i in range(trials))
+    finals = (spin.sequential_chain(table, seed + i)[-1] for i in range(trials))
     plus = sum(final.eigenvalue == 1 for final in finals)
     frequency = plus / trials
     return Report(

@@ -4,14 +4,15 @@ Eigenvalues are expressed in units of hbar/2, so every measurement yields
 +1 or -1.  States are unit complex 2-vectors identified up to a global
 phase; the stored representative follows one phase convention (first
 nonzero component real and nonnegative) so outputs are deterministic.
+A chain's caller builds its table once with ``transition_table(initial,
+thetas)``, and each trial samples it with ``sequential_chain(table, seed)``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 NORM_TOL = 1e-12
@@ -113,12 +114,12 @@ class MeasurementOutcome:
     post_state: SpinRay
 
 
-@functools.lru_cache(maxsize=4)
-def _transition_table(key: bytes) -> tuple:
+def transition_table(initial: SpinRay, thetas: Sequence[float]) -> tuple:
     """Per step, one row per incoming state (the initial ray, then the previous angle's + or -
     eigenvector): p_plus and the outcomes after +1 and -1, or collapse's refusal if impossible."""
-    *thetas, up_re, up_im, down_re, down_im = array("d", key)
-    incoming = (SpinRay(complex(up_re, up_im), complex(down_re, down_im)),)
+    if not thetas:
+        raise ValueError("measurement chain needs at least one angle")
+    incoming = (initial,)
     table = []
     for theta in thetas:
         obs = observable(theta)
@@ -133,23 +134,16 @@ def _transition_table(key: bytes) -> tuple:
     return tuple(table)
 
 
-def sequential_chain(initial: SpinRay, thetas: list[float], seed: int) -> list[MeasurementOutcome]:
-    """Measure at each angle in order, sampling outcomes and collapsing.
+def sequential_chain(table: tuple, seed: int) -> list[MeasurementOutcome]:
+    """One trial of a chain: measure at each angle of the table in order, sampling and collapsing.
 
     ``random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
     is below p_plus; each step records the probability of the observed eigenvalue.
-    The chain's transition table is built once and reused from a small memo keyed
-    exactly: on the binary64 bits of the initial amplitudes and the angles, so 0.0
-    and -0.0 differ.
     """
-    if not thetas:
-        raise ValueError("measurement chain needs at least one angle")
     draw = random.Random(seed).random
-    key = array("d", thetas)  # not via a new tuple: CPython 3.11 strands 20-item ones on a free list
-    key.extend((initial.up.real, initial.up.imag, initial.down.real, initial.down.imag))
     trajectory: list[MeasurementOutcome] = []
     row = 0
-    for step in _transition_table(key.tobytes()):
+    for step in table:
         p_plus, plus, minus = step[row]
         outcome, row = (plus, 0) if draw() < p_plus else (minus, 1)
         if type(outcome) is str:

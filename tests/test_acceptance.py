@@ -31,7 +31,7 @@ from groupmeasure.haar import (
     von_mises_reduce,
 )
 from groupmeasure.oracle import cube_rotation_census, integrate, verify_group_axioms
-from groupmeasure.spin import SPIN_UP, eigensystem, observable, probabilities, sequential_chain
+from groupmeasure.spin import SPIN_UP, eigensystem, observable, probabilities, sequential_chain, transition_table
 from groupmeasure.tables import bayes_factorization_check, condition, marginalize
 
 
@@ -171,8 +171,9 @@ def test_08_collapse_makes_repetition_certain():
     for k in range(73):
         theta = 2.0 * math.pi * k / 73.0
         obs = observable(theta)
+        table = transition_table(SPIN_UP, [theta])
         for seed in (0, 1):
-            step = sequential_chain(SPIN_UP, [theta], seed=seed)[-1]
+            step = sequential_chain(table, seed=seed)[-1]
             p_plus, p_minus = probabilities(step.post_state, obs)
             repeat = p_plus if step.eigenvalue == 1 else p_minus
             ok = ok and abs(repeat - 1.0) <= 1e-12
@@ -215,11 +216,8 @@ def test_11_frequency_checks():
     n = 100_000
     bound = 4.0 * math.sqrt(0.25 / n)
 
-    plus = sum(
-        1
-        for i in range(n)
-        if sequential_chain(SPIN_UP, [math.pi / 2.0], seed=7_000_000 + i)[-1].eigenvalue == 1
-    )
+    table = transition_table(SPIN_UP, [math.pi / 2.0])
+    plus = sum(1 for i in range(n) if sequential_chain(table, seed=7_000_000 + i)[-1].eigenvalue == 1)
     ok = abs(plus / n - 0.5) <= bound
 
     d = normalize(translation_family(), IntervalConstraint(0.0, 1.0))

@@ -66,6 +66,18 @@ def test_prior_scale_ratio_beyond_binary64(capsys):
     assert doc["quantile"] == pytest.approx(1.0, rel=1e-11)
 
 
+def test_scale_grid_is_at_equal_probability_steps(capsys):
+    code, out, err = run_cli(
+        capsys, "prior", "--family", "scale", "--lower", "1", "--upper", "1e6", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 101
+    assert (rows[0][0], rows[-1][0]) == ("1", "1000000")
+    for i, (_, _, cdf) in enumerate(rows):
+        assert float(cdf) == pytest.approx(i / 100, abs=1e-9), i
+
+
 def test_von_mises_csv_grid(capsys):
     code, out, _ = run_cli(
         capsys, "von-mises", "--ratio-lower", "1", "--ratio-upper", "2", "--format", "csv"

@@ -7,8 +7,9 @@ file unchanged; a deliberate change to the output regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the regenerated files are committed together with the change that
-explains them.
+which rewrites and names each case whose output differs from its file, so
+the changed files can be checked against the change that explains them
+and committed together with it.
 """
 
 from __future__ import annotations
@@ -94,11 +95,16 @@ def _visible_diff(name: str, expected: str, actual: str) -> str:
     return "\n".join(diff)
 
 
+def committed(name: str) -> str:
+    """The committed golden text of a case, or "" if it has no file yet."""
+    path = golden_path(name)
+    return path.read_bytes().decode("utf-8") if path.exists() else ""
+
+
 def test_cli_output_matches_golden_corpus():
     differing = []
     for name, argv in CASES.items():
-        path = golden_path(name)
-        expected = path.read_bytes().decode("utf-8") if path.exists() else ""
+        expected = committed(name)
         actual = run_case(argv)
         if actual != expected:
             differing.append(_visible_diff(name, expected, actual))
@@ -118,10 +124,30 @@ def test_json_goldens_are_strict_json():
         json.loads(stdout, parse_constant=_refuse_constant)
 
 
-def regenerate() -> None:
+def regenerate() -> list[str]:
+    """Rewrite each case whose command, exit code, stdout or stderr differs from its file, and name it."""
+    changed = []
     for name, argv in CASES.items():
-        golden_path(name).write_bytes(run_case(argv).encode("utf-8"))
-    print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}", file=sys.stderr)
+        actual = run_case(argv)
+        if actual != committed(name):
+            golden_path(name).write_bytes(actual.encode("utf-8"))
+            changed.append(name)
+            print(f"changed: {name}", file=sys.stderr)
+    print(f"{len(changed)} of {len(CASES)} golden files changed in {GOLDEN_DIR}", file=sys.stderr)
+    return changed
+
+
+def test_regenerate_names_only_the_cases_that_differ(tmp_path, monkeypatch, capsys):
+    module = sys.modules[__name__]
+    cases = {name: CASES[name] for name in ("coin.csv", "spin_default.csv")}
+    for name in cases:
+        (tmp_path / f"{name}.txt").write_bytes(golden_path(name).read_bytes())
+    (tmp_path / "spin_default.csv.txt").write_text("stale\n", encoding="utf-8")
+    monkeypatch.setattr(module, "CASES", cases)
+    monkeypatch.setattr(module, "golden_path", lambda name: tmp_path / f"{name}.txt")
+    assert regenerate() == ["spin_default.csv"]
+    assert capsys.readouterr().err.splitlines()[0] == "changed: spin_default.csv"
+    assert regenerate() == []
 
 
 if __name__ == "__main__":

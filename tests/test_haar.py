@@ -202,6 +202,22 @@ def test_scale_family_beyond_the_binary64_ratio():
     assert d.quantile(1.0) == pytest.approx(1e300, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "family, lower, upper",
+    [
+        (TRANSLATION, 48.97445511102119, 119.95167722991836),  # lo + 1 * (hi - lo) rounds above hi
+        (SCALE, 1e-200, 1e250),  # the difference of logs misses the lower end
+        (SCALE, 3e-310, 1e10),  # ... and the upper end
+        (SCALE, 1e-76, 1.7976931348621712e308),  # ... and its exp overflowed at q = 1
+    ],
+    ids=["translation", "scale-low-end", "scale-high-end", "scale-near-the-float-max"],
+)
+def test_quantile_at_levels_0_and_1_stays_in_the_support(family, lower, upper):
+    d = normalize(family, IntervalConstraint(lower, upper))
+    for q in (0.0, 1.0):
+        assert lower <= d.quantile(q) <= upper, q
+
+
 def test_translation_quantile_midpoint():
     d = normalize(TRANSLATION, IntervalConstraint(2.0, 7.0))
     assert d.quantile(0.5) == pytest.approx(4.5, abs=1e-12)

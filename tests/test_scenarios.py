@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from groupmeasure import spin
 from groupmeasure.cli import render
 from groupmeasure.scenarios import KINDS, Scenario, ScenarioError, parse_scenario, run, scenario_from_dict
 
@@ -238,6 +239,14 @@ def test_run_chain_gives_the_exact_count_of_its_seed(thetas, seed, trials, plus)
     doc = {"kind": "spin_chain", "thetas": thetas, "seed": seed, "trials": trials}
     report = run(scenario_from_dict(doc))
     assert report.records == ((1, plus, plus / trials), (-1, trials - plus, 1.0 - plus / trials))
+
+
+def test_run_chain_builds_its_transition_table_once_per_run(monkeypatch):
+    observable, calls = spin.observable, []
+    monkeypatch.setattr(spin, "observable", lambda theta: calls.append(theta) or observable(theta))
+    thetas = [0.3, 1.1, 2.0]
+    run(scenario_from_dict({"kind": "spin_chain", "thetas": thetas, "seed": 5, "trials": 40}))
+    assert calls == thetas
 
 
 def test_run_attaches_scenario_context_to_module_errors():

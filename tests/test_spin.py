@@ -21,6 +21,7 @@ from groupmeasure.spin import (
     observable,
     probabilities,
     sequential_chain,
+    transition_table,
 )
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True, allow_nan=False)
@@ -200,7 +201,7 @@ def test_collapse_validates_outcome_value():
 @given(obs_angle=angles, outcome_seed=st.integers(min_value=0, max_value=10))
 def test_remeasurement_after_collapse_is_certain(obs_angle, outcome_seed):
     obs = observable(obs_angle)
-    trajectory = sequential_chain(SPIN_UP, [obs_angle], seed=outcome_seed)
+    trajectory = sequential_chain(transition_table(SPIN_UP, [obs_angle]), seed=outcome_seed)
     post = trajectory[-1].post_state
     p_plus, p_minus = probabilities(post, obs)
     repeat = p_plus if trajectory[-1].eigenvalue == 1 else p_minus
@@ -208,32 +209,35 @@ def test_remeasurement_after_collapse_is_certain(obs_angle, outcome_seed):
 
 
 def test_repeated_z_measurement_is_deterministic():
-    trajectory = sequential_chain(SPIN_UP, [0.0, 0.0], seed=3)
+    trajectory = sequential_chain(transition_table(SPIN_UP, [0.0, 0.0]), seed=3)
     assert [t.eigenvalue for t in trajectory] == [1, 1]
     assert trajectory[1].probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_second_x_measurement_repeats_the_first():
+    table = transition_table(SPIN_UP, [math.pi / 2.0, math.pi / 2.0])
     for seed in range(20):
-        first, second = sequential_chain(SPIN_UP, [math.pi / 2.0, math.pi / 2.0], seed=seed)
+        first, second = sequential_chain(table, seed=seed)
         assert second.eigenvalue == first.eigenvalue
         assert second.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chain_requires_angles():
     with pytest.raises(ValueError, match="at least one"):
-        sequential_chain(SPIN_UP, [], seed=0)
+        transition_table(SPIN_UP, [])
 
 
 def test_chain_is_deterministic_per_seed():
-    a = sequential_chain(SPIN_UP, [math.pi / 2.0, 0.3, 1.8], seed=42)
-    b = sequential_chain(SPIN_UP, [math.pi / 2.0, 0.3, 1.8], seed=42)
+    table = transition_table(SPIN_UP, [math.pi / 2.0, 0.3, 1.8])
+    a = sequential_chain(table, seed=42)
+    b = sequential_chain(table, seed=42)
     assert a == b
 
 
 def test_x_then_z_chain_final_frequency():
     # P(final +1) = 1/2 * 1/2 + 1/2 * 1/2 by the chain rule.
-    sampler = lambda i: sequential_chain(SPIN_UP, [math.pi / 2.0, 0.0], seed=5_000 + i)[-1]
+    table = transition_table(SPIN_UP, [math.pi / 2.0, 0.0])
+    sampler = lambda i: sequential_chain(table, seed=5_000 + i)[-1]
     report = frequency_test(sampler, lambda t: t.eigenvalue == 1, 0.5, 20_000)
     assert report.passed, report.line()
 
@@ -281,9 +285,10 @@ initial_states = st.one_of(
     seed=st.integers(min_value=0, max_value=2**64),
 )
 def test_chain_follows_the_per_step_seed_contract(initial, thetas, seed):
-    for trial_seed in (seed, seed + 1, seed):  # the repeat runs the chain again with the same seed
+    table = transition_table(initial, thetas)
+    for trial_seed in (seed, seed + 1, seed):  # the repeat samples the same table with the same seed
         expected = result_of(reference_chain, initial, thetas, trial_seed)
-        assert result_of(sequential_chain, initial, thetas, trial_seed) == expected
+        assert result_of(sequential_chain, table, trial_seed) == expected
 
 
 def test_sampled_impossible_outcome_raises_the_collapse_error(monkeypatch):
@@ -298,7 +303,8 @@ def test_sampled_impossible_outcome_raises_the_collapse_error(monkeypatch):
             return 0.0
 
     monkeypatch.setattr(spin, "random", SimpleNamespace(Random=DrawsZero))
+    table = transition_table(SPIN_UP, [math.pi])
     for _ in range(2):
         with pytest.raises(ValueError, match="has probability 0") as raised:
-            sequential_chain(SPIN_UP, [math.pi], 0)
+            sequential_chain(table, 0)
         assert str(raised.value) == str(expected.value)
