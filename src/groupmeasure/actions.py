@@ -8,10 +8,10 @@ orientation is named by the face pointing up and the face pointing north.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .groups import FiniteGroup, Matrix, make_coin_group, make_octahedral, octahedral_matrices
+from .record import Record
 from .tables import ProbabilityTable, uniform_table
 
 FACE_AXES: dict[int, tuple[int, int, int]] = {
@@ -26,21 +26,19 @@ FACE_AXES: dict[int, tuple[int, int, int]] = {
 _FACE_ON_AXIS = {axis: face for face, axis in FACE_AXES.items()}
 
 
-@dataclass(frozen=True, order=True)
-class DieOrientation:
+class DieOrientation(Record):
     """A die resting with face ``up`` on top and face ``north`` facing north."""
 
-    up: int
-    north: int
+    __slots__ = ("up", "north")
 
-    def __post_init__(self) -> None:
-        for name, face in (("up", self.up), ("north", self.north)):
+    def __init__(self, up: int, north: int) -> None:
+        for name, face in (("up", up), ("north", north)):
             if face not in FACE_AXES:
                 raise ValueError(f"{name} face must be 1..6, got {face}")
-        if self.north == self.up or self.north == 7 - self.up:
-            raise ValueError(
-                f"north face {self.north} is not adjacent to up face {self.up}"
-            )
+        if north == up or north == 7 - up:
+            raise ValueError(f"north face {north} is not adjacent to up face {up}")
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "north", north)
 
     @property
     def label(self) -> str:
@@ -72,24 +70,26 @@ def all_orientations() -> tuple[DieOrientation, ...]:
     return tuple(orientations)
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Record):
     """A group acting on an ordered list of state labels; act[g][s] is a state index."""
 
-    group: FiniteGroup
-    states: tuple[str, ...]
-    act: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "states", "act")
 
-    def __post_init__(self) -> None:
-        if len(self.act) != self.group.n:
+    def __init__(self, group: FiniteGroup, states: tuple[str, ...], act: tuple[tuple[int, ...], ...]) -> None:
+        if not states:
+            raise ValueError("action needs at least one state")
+        if len(act) != group.n:
             raise ValueError("action table must have one row per group element")
-        n_states = len(self.states)
-        for row in self.act:
+        n_states = len(states)
+        for row in act:
             if len(row) != n_states or any(not 0 <= s < n_states for s in row):
                 raise ValueError("action table rows must map every state to a valid state")
-        e = self.group.identity
-        if any(self.act[e][s] != s for s in range(n_states)):
+        e = group.identity
+        if any(act[e][s] != s for s in range(n_states)):
             raise ValueError("identity element must fix every state")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "act", act)
 
     def apply(self, element: int, state: int) -> int:
         return self.act[element][state]

@@ -8,7 +8,6 @@ All numeric output uses '.' as the decimal separator regardless of locale.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +47,8 @@ def render(report: Report, fmt: str = "table") -> str:
         name, columns, rows = "records", report.columns, report.records
 
     if fmt == "json":
+        import json
+
         doc: dict[str, Any] = {"kind": report.kind}
         doc.update((key, _json_value(value)) for key, value in report.summary)
         if rows:

@@ -7,36 +7,38 @@ at the small orders used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+
+from .record import Record
 
 Matrix = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group given by its composition table.
 
     ``table[a][b]`` is the id of a∘b.  ``identity`` and ``inverse`` are
     derived from the table by the constructors.
     """
 
-    label: str
-    n: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
+    __slots__ = ("label", "n", "table", "identity", "inverse")
 
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, n: int, table: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: tuple[int, ...]) -> None:
         # Cheap shape/closure validation; the full axiom sweep lives in oracle.
-        if self.n <= 0:
-            raise ValueError(f"group order must be positive, got {self.n}")
-        if len(self.table) != self.n or any(len(row) != self.n for row in self.table):
-            raise ValueError(f"{self.label}: composition table must be {self.n}x{self.n}")
-        for row in self.table:
+        if n <= 0:
+            raise ValueError(f"group order must be positive, got {n}")
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"{label}: composition table must be {n}x{n}")
+        for row in table:
             for entry in row:
-                if not 0 <= entry < self.n:
-                    raise ValueError(f"{self.label}: table entry {entry} outside 0..{self.n - 1}")
+                if not 0 <= entry < n:
+                    raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
 
     def elements(self) -> range:
         return range(self.n)

@@ -19,8 +19,9 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable
+
+from .record import Record
 
 TRANSLATION = "translation"
 SCALE = "scale"
@@ -35,13 +36,15 @@ _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class OneParamFamily:
+class OneParamFamily(Record):
     """A one-parameter transformation family: kind tag, composition law, identity."""
 
-    kind: str
-    compose: Callable[[float, float], float]
-    identity: float
+    __slots__ = ("kind", "compose", "identity")
+
+    def __init__(self, kind: str, compose: Callable[[float, float], float], identity: float) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "compose", compose)
+        object.__setattr__(self, "identity", identity)
 
 
 def translation_family() -> OneParamFamily:
@@ -65,18 +68,18 @@ def custom_family(compose: Callable[[float, float], float], identity: float) -> 
     return OneParamFamily(CUSTOM, compose, identity)
 
 
-@dataclass(frozen=True)
-class IntervalConstraint:
+class IntervalConstraint(Record):
     """Observation bounds: the value sought lies between lower and upper."""
 
-    lower: float
-    upper: float
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+    def __init__(self, lower: float, upper: float) -> None:
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise ValueError("interval bounds must be finite")
-        if not self.lower < self.upper:
-            raise ValueError(f"degenerate interval [{self.lower}, {self.upper}]")
+        if not lower < upper:
+            raise ValueError(f"degenerate interval [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def width(self) -> float:
@@ -127,16 +130,19 @@ def _log_ratio(x: float, lower: float) -> float:
     return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(lower)
 
 
-@dataclass(frozen=True)
-class NormalizedDensity:
+class NormalizedDensity(Record):
     """The invariant weight normalized to integrate to 1 over the support."""
 
-    family: OneParamFamily
-    support: IntervalConstraint
-    normalizer: float
-    # Custom families: the quadrature's panel edges, and the weight integral up to each.
-    edges: tuple[float, ...] = field(default=(), repr=False)
-    cumulative: tuple[float, ...] = field(default=(), repr=False)
+    # A custom family also keeps its quadrature's panel edges, and the weight integral up to each.
+    __slots__ = ("family", "support", "normalizer", "edges", "cumulative")
+
+    def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float,
+                 edges: tuple[float, ...] = (), cumulative: tuple[float, ...] = ()) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "normalizer", normalizer)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "cumulative", cumulative)
 
     @property
     def form(self) -> str:
@@ -175,6 +181,8 @@ class NormalizedDensity:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
+        if q == 0.0 or q == 1.0:  # the formulas below round at the ends, the bisection stops short
+            return hi if q else lo
         if self.family.kind != CUSTOM:
             if self.family.kind == TRANSLATION:
                 x = lo + q * self.normalizer
@@ -230,18 +238,16 @@ def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     return NormalizedDensity(f, c, normalizer, edges, cumulative)
 
 
-@dataclass(frozen=True)
-class VonMisesScenario:
+class VonMisesScenario(Record):
     """Water/wine mixture with additive volumes: bounds on the water-to-wine ratio."""
 
-    ratio_lower: float
-    ratio_upper: float
+    __slots__ = ("ratio_lower", "ratio_upper")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.ratio_lower < self.ratio_upper:
-            raise ValueError(
-                f"need 0 < ratio_lower < ratio_upper, got [{self.ratio_lower}, {self.ratio_upper}]"
-            )
+    def __init__(self, ratio_lower: float, ratio_upper: float) -> None:
+        if not 0 < ratio_lower < ratio_upper:
+            raise ValueError(f"need 0 < ratio_lower < ratio_upper, got [{ratio_lower}, {ratio_upper}]")
+        object.__setattr__(self, "ratio_lower", ratio_lower)
+        object.__setattr__(self, "ratio_upper", ratio_upper)
 
 
 def von_mises_reduce(s: VonMisesScenario) -> NormalizedDensity:

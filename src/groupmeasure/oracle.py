@@ -12,26 +12,28 @@ package's paths with these checks; ``groupmeasure selftest`` prints it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter, ne
 from typing import Callable, Iterable
 
 from . import haar, spin
 from .actions import DieOrientation, all_orientations
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
+from .record import Record
 
 EigenPair = tuple[float, tuple[float, float]]
 _EPS = 2.0**-52
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one verification: passed iff worst_residual is within tolerance."""
 
-    name: str
-    passed: bool
-    worst_residual: float
-    details: str = ""
+    __slots__ = ("name", "passed", "worst_residual", "details")
+
+    def __init__(self, name: str, passed: bool, worst_residual: float, details: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "worst_residual", worst_residual)
+        object.__setattr__(self, "details", details)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

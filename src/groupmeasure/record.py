@@ -1,0 +1,44 @@
+"""Immutable value records: the base of every result and parameter type in the package.
+
+A subclass names its fields in ``__slots__`` and stores them from its own
+``__init__`` with ``object.__setattr__``, after checking them.  ``Record``
+compares, hashes, orders and prints instances by those fields, in slot order,
+and refuses any later assignment or deletion.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Value semantics read from ``__slots__``; instances of different classes never compare equal."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The field values as one tuple (one bare value for a one-field record), read at C speed.
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) < self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")

@@ -10,15 +10,16 @@ for the spin kinds.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import haar, spin
 from .actions import DieOrientation, all_orientations, coin_action, die_action, uniform_over_action
+from .record import Record
 from .tables import ProbabilityTable, condition, marginalize
+
+if TYPE_CHECKING:  # each kind imports the module it runs on inside its own functions
+    from . import haar, spin
 
 DIE_QUERIES = ("joint", "marginal_up", "conditional_north")
 FAMILIES = ("translation", "scale")
@@ -30,18 +31,22 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A validated scenario: its kind and every one of that kind's keys, in canonical order."""
 
-    kind: str
-    params: dict[str, Any]
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: dict[str, Any]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON form: kind first, then the kind's set keys in canonical order."""
         return {"kind": self.kind, **{k: _plain(v) for k, v in self.params.items() if v is not None}}
 
     def canonical_json(self) -> str:
+        import json
+
         return json.dumps(self.canonical_dict())
 
 
@@ -100,6 +105,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as err:  # also an over-long integer or over-deep nesting
@@ -117,25 +124,31 @@ def run(s: Scenario) -> Report:
         raise ScenarioError(f"{s.kind} scenario failed: {err}") from err
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Result of running a scenario, ready for rendering in any output format."""
 
-    kind: str
-    summary: tuple[tuple[str, Any], ...]
-    outcomes: ProbabilityTable | None = None
-    columns: tuple[str, ...] = ()
-    records: tuple[tuple[Any, ...], ...] = ()
+    __slots__ = ("kind", "summary", "outcomes", "columns", "records")
+
+    def __init__(self, kind: str, summary: tuple[tuple[str, Any], ...], outcomes: ProbabilityTable | None = None,
+                 columns: tuple[str, ...] = (), records: tuple[tuple[Any, ...], ...] = ()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "records", records)
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Record):
     """A scenario kind: its keys in canonical order; ``parse(doc)`` validates a document and returns
     every key in that order (``None`` for an absent optional one); ``run(**params)`` makes the Report."""
 
-    keys: tuple[str, ...]
-    parse: Callable[[dict[str, Any]], dict[str, Any]]
-    run: Callable[..., Report]
+    __slots__ = ("keys", "parse", "run")
+
+    def __init__(self, keys: tuple[str, ...], parse: Callable[[dict[str, Any]], dict[str, Any]],
+                 run: Callable[..., Report]) -> None:
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "parse", parse)
+        object.__setattr__(self, "run", run)
 
 
 def _run_coin() -> Report:
@@ -212,6 +225,8 @@ def _parse_interval(doc: dict[str, Any]) -> dict[str, Any]:
 
 def _run_interval(family: str, lower: float, upper: float,
                   at: float | None, quantile: float | None) -> Report:
+    from . import haar
+
     group = haar.translation_family() if family == "translation" else haar.scale_family()
     d = haar.normalize(group, haar.IntervalConstraint(lower, upper))
     extra: list[tuple[str, Any]] = []
@@ -231,6 +246,8 @@ def _parse_von_mises(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_von_mises(ratio_lower: float, ratio_upper: float) -> Report:
+    from . import haar
+
     d = haar.von_mises_reduce(haar.VonMisesScenario(ratio_lower, ratio_upper))
     summary = [("ratio_lower", ratio_lower), ("ratio_upper", ratio_upper)]
     extra = [
@@ -251,6 +268,8 @@ def _parse_spin(doc: dict[str, Any]) -> dict[str, Any]:
     theta = _number(_require(doc, "theta"), "theta")
     state = (1.0 + 0.0j, 0.0j)
     if "state" in doc:
+        from . import spin
+
         raw = doc["state"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
@@ -263,6 +282,8 @@ def _parse_spin(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
+    from . import spin
+
     obs = spin.observable(theta)
     pairs = spin.eigensystem(obs)
     probs = spin.probabilities(spin.SpinRay(*state), obs)
@@ -289,6 +310,8 @@ def _parse_spin_chain(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
+    from . import spin
+
     table = spin.transition_table(spin.SPIN_UP, thetas)
     if trials == 1:
         trajectory = spin.sequential_chain(table, seed)

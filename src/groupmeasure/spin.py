@@ -13,40 +13,43 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+
+from .record import Record
 
 NORM_TOL = 1e-12
 EIGENVALUE_UNIT = "hbar/2"
 
 
-@dataclass(frozen=True)
-class SpinRay:
+class SpinRay(Record):
     """Unit complex 2-vector (up, down components) modulo global phase."""
 
-    up: complex
-    down: complex
+    __slots__ = ("up", "down")
 
-    def __post_init__(self) -> None:
+    def __init__(self, up: complex, down: complex) -> None:
         try:
-            up, down = abs(self.up), abs(self.down)
+            up_mod, down_mod = abs(up), abs(down)
         except OverflowError:  # a modulus past the float range
-            up = down = math.inf
+            up_mod = down_mod = math.inf
         # Products overflow to inf where ** raises; inf and nan both fail the check.
-        norm_sq = up * up + down * down
+        norm_sq = up_mod * up_mod + down_mod * down_mod
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"ray is not normalized: |up|^2 + |down|^2 = {norm_sq}")
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
 
 SPIN_UP = SpinRay(1.0 + 0.0j, 0.0j)
 SPIN_DOWN = SpinRay(0.0j, 1.0 + 0.0j)
 
 
-@dataclass(frozen=True)
-class SpinObservable:
+class SpinObservable(Record):
     """Hermitian 2x2 observable for the axis at angle theta from +z in the xz plane."""
 
-    theta: float
-    matrix: tuple[tuple[float, float], tuple[float, float]]
+    __slots__ = ("theta", "matrix")
+
+    def __init__(self, theta: float, matrix: tuple[tuple[float, float], tuple[float, float]]) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def observable(theta: float) -> SpinObservable:
@@ -105,13 +108,15 @@ def _refusal(outcome: int, p: float) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(Record):
     """One step of a measurement chain: observed eigenvalue, its probability, post state."""
 
-    eigenvalue: int
-    probability: float
-    post_state: SpinRay
+    __slots__ = ("eigenvalue", "probability", "post_state")
+
+    def __init__(self, eigenvalue: int, probability: float, post_state: SpinRay) -> None:
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "post_state", post_state)
 
 
 def transition_table(initial: SpinRay, thetas: Sequence[float]) -> tuple:

@@ -6,23 +6,23 @@ results are bit-exact; no floating point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .record import Record
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+
+class ProbabilityTable(Record):
     """Ordered (label, probability) outcomes; probabilities sum to exactly 1."""
 
-    outcomes: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("outcomes",)
 
-    def __post_init__(self) -> None:
-        if not self.outcomes:
+    def __init__(self, outcomes: tuple[tuple[str, Fraction], ...]) -> None:
+        if not outcomes:
             raise ValueError("probability table must have at least one outcome")
         seen = set()
         total = Fraction(0)
-        for label, p in self.outcomes:
+        for label, p in outcomes:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
@@ -31,6 +31,7 @@ class ProbabilityTable:
             total += p
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "outcomes", outcomes)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
@@ -45,6 +46,8 @@ class ProbabilityTable:
 def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     """Equal exact weight 1/len(labels) on every label."""
     n = len(labels)
+    if n == 0:
+        raise ValueError("uniform table needs at least one label")
     share = Fraction(1, n)
     return ProbabilityTable(tuple((label, share) for label in labels))
 

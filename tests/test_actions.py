@@ -117,6 +117,12 @@ def test_action_table_must_respect_identity():
         GroupAction(make_cyclic(2), ("x", "y"), ((1, 0), (0, 1)))
 
 
+def test_action_without_states_is_refused():
+    # It used to construct, and uniform_over_action then failed with an IndexError.
+    with pytest.raises(ValueError, match="at least one state"):
+        GroupAction(make_cyclic(1), (), ((),))
+
+
 def test_relabeling_by_group_element_preserves_probabilities():
     # Conjugating the action by any group element permutes state labels but
     # leaves every state's probability unchanged.

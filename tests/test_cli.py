@@ -236,3 +236,27 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         code = f"import sys, {module}; print('numpy' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert result.stdout.strip() == "False", module
+
+
+# Each command and the one kind module it may load: haar for the densities, spin for the spin kinds.
+COMMAND_MODULES = {
+    "coin": (["coin"], []),
+    "die": (["die", "--query", "marginal_up"], []),
+    "prior": (["prior", "--family", "scale", "--lower", "1", "--upper", "4"], ["groupmeasure.haar"]),
+    "von-mises": (["von-mises", "--ratio-lower", "1", "--ratio-upper", "2"], ["groupmeasure.haar"]),
+    "spin": (["spin", "--theta", "1.0", "--state", "0.6", "0.8"], ["groupmeasure.spin"]),
+    "chain": (["chain", "--thetas", "0.5,1.0", "--trials", "3"], ["groupmeasure.spin"]),
+}
+
+
+@pytest.mark.parametrize("argv, kind_modules", COMMAND_MODULES.values(), ids=COMMAND_MODULES.keys())
+def test_each_command_imports_only_its_own_kind_module(argv, kind_modules):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    watched = ("dataclasses", "inspect", "groupmeasure.haar", "groupmeasure.spin")
+    code = (
+        f"import sys\nfrom groupmeasure import cli\nassert cli.main({argv!r}) == 0\n"
+        f"print(sorted(m for m in {watched!r} if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.splitlines()[-1] == repr(kind_modules)

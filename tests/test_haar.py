@@ -209,13 +209,19 @@ def test_scale_family_beyond_the_binary64_ratio():
         (SCALE, 1e-200, 1e250),  # the difference of logs misses the lower end
         (SCALE, 3e-310, 1e10),  # ... and the upper end
         (SCALE, 1e-76, 1.7976931348621712e308),  # ... and its exp overflowed at q = 1
+        (TRANSLATION, -10.0, 0.0001),  # lo + 1 * (hi - lo) cancels below hi
+        (SCALE, 1e-300, 1e300),  # the difference of logs misses both ends
+        (custom_family(lambda a, b: a + b + a * b, 0.0), 1.0, 4.0),  # bisection stops inside a panel
     ],
-    ids=["translation", "scale-low-end", "scale-high-end", "scale-near-the-float-max"],
+    ids=[
+        "translation", "scale-low-end", "scale-high-end", "scale-near-the-float-max",
+        "translation-cancelling", "scale-both-ends", "custom",
+    ],
 )
 def test_quantile_at_levels_0_and_1_stays_in_the_support(family, lower, upper):
     d = normalize(family, IntervalConstraint(lower, upper))
-    for q in (0.0, 1.0):
-        assert lower <= d.quantile(q) <= upper, q
+    assert d.quantile(0.0) == lower
+    assert d.quantile(1.0) == upper
 
 
 def test_translation_quantile_midpoint():

@@ -1,0 +1,96 @@
+"""Value semantics of every record type: immutable, equal and hashed by field, printed by field."""
+
+from fractions import Fraction
+
+import pytest
+
+from groupmeasure import actions, groups, haar, oracle, scenarios, spin, tables
+from groupmeasure.record import Record
+
+
+def _law(a, b):
+    return a + b + a * b
+
+
+def _family():
+    return haar.OneParamFamily(haar.CUSTOM, _law, 0.0)
+
+
+# One maker per record class; each call builds a fresh instance with the same fields.
+MAKERS = {
+    "ProbabilityTable": lambda: tables.ProbabilityTable((("a", Fraction(1, 3)), ("b", Fraction(2, 3)))),
+    "DieOrientation": lambda: actions.DieOrientation(1, 2),
+    "GroupAction": lambda: actions.GroupAction(groups.make_cyclic(2), ("x", "y"), ((0, 1), (1, 0))),
+    "FiniteGroup": lambda: groups.make_dihedral(3),
+    "OneParamFamily": _family,
+    "IntervalConstraint": lambda: haar.IntervalConstraint(1.0, 2.0),
+    "NormalizedDensity": lambda: haar.normalize(_family(), haar.IntervalConstraint(1.0, 4.0)),
+    "VonMisesScenario": lambda: haar.VonMisesScenario(1.0, 2.0),
+    "SpinRay": lambda: spin.SpinRay(0.6 + 0.0j, 0.8j),
+    "SpinObservable": lambda: spin.observable(0.3),
+    "MeasurementOutcome": lambda: spin.MeasurementOutcome(-1, 0.25, spin.SPIN_DOWN),
+    "CheckReport": lambda: oracle.CheckReport("check", True, 0.0, "details"),
+    "Scenario": lambda: scenarios.scenario_from_dict({"kind": "die", "query": "marginal_up"}),
+    "Report": lambda: scenarios.run(scenarios.scenario_from_dict({"kind": "coin"})),
+    "Kind": lambda: scenarios.Kind(("key",), dict, str),
+}
+
+
+def _twin(record):
+    """A record of another class holding the same field values."""
+    twin_class = type("Twin", (Record,), {"__slots__": type(record).__slots__})
+    twin = object.__new__(twin_class)
+    for name in twin_class.__slots__:
+        object.__setattr__(twin, name, getattr(record, name))
+    return twin
+
+
+def test_every_record_class_in_the_package_is_covered():
+    package_records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("groupmeasure.")}
+    assert {type(make()) for make in MAKERS.values()} == package_records
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+def test_fields_cannot_be_assigned_or_deleted(make):
+    record = make()
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+def test_records_are_equal_and_hash_alike_by_field_and_class(make):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second
+    assert not first != second
+    if isinstance(first, scenarios.Scenario):  # its params are a dict, as unhashable as a tuple holding one
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+    twin = _twin(first)
+    assert first != twin
+    assert twin != first
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+def test_repr_names_the_class_and_every_field(make):
+    record = make()
+    text = repr(record)
+    assert text.startswith(f"{type(record).__name__}(")
+    for name in type(record).__slots__:
+        assert f"{name}={getattr(record, name)!r}" in text
+
+
+def test_die_orientations_sort_and_dedupe():
+    o = actions.DieOrientation
+    assert sorted([o(2, 1), o(1, 3), o(1, 2)]) == [o(1, 2), o(1, 3), o(2, 1)]
+    assert {o(1, 2), o(1, 2), o(2, 1)} == {o(2, 1), o(1, 2)}
+    assert len({o(1, 2), o(1, 2), o(2, 1)}) == 2
+    assert o(1, 2) != (1, 2)

@@ -73,10 +73,7 @@ def test_interval_documents_render_or_are_refused(doc):
     xs = [x for x, _, _ in report.records]
     cdfs = [cdf for _, _, cdf in report.records]
     assert all(doc["lower"] <= x <= doc["upper"] for x in xs)
-    # The ends are lower and upper up to rounding at the scale of the input.
-    span = max(abs(doc["lower"]), abs(doc["upper"]))
-    for x, end in ((xs[0], doc["lower"]), (xs[-1], doc["upper"])):
-        assert math.isclose(x, end, rel_tol=1e-12, abs_tol=1e-15 * span)
+    assert (xs[0], xs[-1]) == (doc["lower"], doc["upper"])
     assert all(a <= b for a, b in zip(cdfs, cdfs[1:]))
 
 

@@ -8,6 +8,7 @@ from groupmeasure.tables import (
     bayes_factorization_check,
     condition,
     marginalize,
+    uniform_table,
 )
 
 
@@ -37,6 +38,12 @@ def test_table_rejects_negative_probability():
 def test_table_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         ProbabilityTable((("a", Fraction(1, 2)), ("a", Fraction(1, 2))))
+
+
+def test_uniform_table_without_labels_is_refused():
+    # It used to fail with a ZeroDivisionError from Fraction(1, 0).
+    with pytest.raises(ValueError, match="at least one label"):
+        uniform_table(())
 
 
 def test_marginal_up_face_is_one_sixth(die_joint):
