@@ -148,7 +148,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             raise ScenarioError(f"cannot read scenario file: {err}") from err
         return scenarios.parse_scenario(text)
     doc: dict[str, Any] = {"kind": args.kind}
-    for key in scenarios.KINDS[args.kind].keys:
+    keys, _, _ = scenarios.KINDS[args.kind]
+    for key in keys:
         value = getattr(args, key)
         if value is not None:
             doc[key] = _angles(value) if key == "thetas" else value

@@ -238,28 +238,18 @@ def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     return NormalizedDensity(f, c, normalizer, edges, cumulative)
 
 
-class VonMisesScenario(Record):
-    """Water/wine mixture with additive volumes: bounds on the water-to-wine ratio."""
-
-    __slots__ = ("ratio_lower", "ratio_upper")
-
-    def __init__(self, ratio_lower: float, ratio_upper: float) -> None:
-        if not 0 < ratio_lower < ratio_upper:
-            raise ValueError(f"need 0 < ratio_lower < ratio_upper, got [{ratio_lower}, {ratio_upper}]")
-        object.__setattr__(self, "ratio_lower", ratio_lower)
-        object.__setattr__(self, "ratio_upper", ratio_upper)
-
-
-def von_mises_reduce(s: VonMisesScenario) -> NormalizedDensity:
-    """Constant density for the water fraction of the mixture.
+def von_mises_reduce(ratio_lower: float, ratio_upper: float) -> NormalizedDensity:
+    """Constant density for the water fraction of a water/wine mixture whose water-to-wine ratio is bounded.
 
     With additive volumes the water fraction is r/(1+r) of the ratio r, the
     two fractions sum to 1, and the fraction transforms by translation, so
     the bounds map through r/(1+r) and the weight is constant.  For ratio
     bounds [1, 2] that gives support [1/2, 2/3] and density 6.
     """
-    lo = s.ratio_lower / (1.0 + s.ratio_lower)
-    hi = s.ratio_upper / (1.0 + s.ratio_upper)
+    if not 0 < ratio_lower < ratio_upper:
+        raise ValueError(f"need 0 < ratio_lower < ratio_upper, got [{ratio_lower}, {ratio_upper}]")
+    lo = ratio_lower / (1.0 + ratio_lower)
+    hi = ratio_upper / (1.0 + ratio_upper)
     return normalize(translation_family(), IntervalConstraint(lo, hi))
 
 

@@ -32,17 +32,19 @@ class ScenarioError(ValueError):
 
 
 class Scenario(Record):
-    """A validated scenario: its kind and every one of that kind's keys, in canonical order."""
+    """A parsed scenario: its kind and the value of each of that kind's keys, in canonical order
+    (``None`` for an absent optional key).  Immutable and hashable."""
 
     __slots__ = ("kind", "params")
 
-    def __init__(self, kind: str, params: dict[str, Any]) -> None:
+    def __init__(self, kind: str, params: tuple[Any, ...]) -> None:
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", tuple(params))
 
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON form: kind first, then the kind's set keys in canonical order."""
-        return {"kind": self.kind, **{k: _plain(v) for k, v in self.params.items() if v is not None}}
+        keys, _, _ = KINDS[self.kind]
+        return {"kind": self.kind, **{k: _plain(v) for k, v in zip(keys, self.params) if v is not None}}
 
     def canonical_json(self) -> str:
         import json
@@ -90,17 +92,19 @@ def _amplitude(value: Any, key: str) -> complex:
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
-    """Validate a decoded scenario object; unknown keys and bad parameters are errors."""
+    """Check a decoded scenario object's shape: its keys, their JSON types and enum values.
+    A value rule that a library function states (ordered bounds, a normalized state) is left to run()."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     kind = _require(doc, "kind")
     spec = KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    unknown = set(doc) - set(spec.keys) - {"kind"}
+    keys, parse, _ = spec
+    unknown = set(doc) - set(keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
-    return Scenario(kind, spec.parse(doc))
+    return Scenario(kind, parse(doc))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -115,9 +119,10 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def run(s: Scenario) -> Report:
-    """Execute a scenario deterministically; module errors gain scenario context."""
+    """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind."""
+    _, _, runner = KINDS[s.kind]
     try:
-        return KINDS[s.kind].run(**s.params)
+        return runner(*s.params)
     except ScenarioError:
         raise
     except ValueError as err:
@@ -138,19 +143,6 @@ class Report(Record):
         object.__setattr__(self, "records", records)
 
 
-class Kind(Record):
-    """A scenario kind: its keys in canonical order; ``parse(doc)`` validates a document and returns
-    every key in that order (``None`` for an absent optional one); ``run(**params)`` makes the Report."""
-
-    __slots__ = ("keys", "parse", "run")
-
-    def __init__(self, keys: tuple[str, ...], parse: Callable[[dict[str, Any]], dict[str, Any]],
-                 run: Callable[..., Report]) -> None:
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "parse", parse)
-        object.__setattr__(self, "run", run)
-
-
 def _run_coin() -> Report:
     action = coin_action()
     return Report(
@@ -160,7 +152,7 @@ def _run_coin() -> Report:
     )
 
 
-def _parse_die(doc: dict[str, Any]) -> dict[str, Any]:
+def _parse_die(doc: dict[str, Any]) -> tuple[str, int | None]:
     query = _require(doc, "query")
     if query not in DIE_QUERIES:
         raise ScenarioError(f"key 'query' must be one of {', '.join(DIE_QUERIES)}, got {query!r}")
@@ -171,7 +163,7 @@ def _parse_die(doc: dict[str, Any]) -> dict[str, Any]:
             raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
     elif "north" in doc:
         raise ScenarioError("key 'north' is only valid for query 'conditional_north'")
-    return {"query": query, "north": north}
+    return query, north
 
 
 def _run_die(query: str, north: int | None) -> Report:
@@ -206,21 +198,13 @@ def _density_report(
     )
 
 
-def _parse_interval(doc: dict[str, Any]) -> dict[str, Any]:
+def _parse_interval(doc: dict[str, Any]) -> tuple[str, float, float, float | None, float | None]:
     family = _require(doc, "family")
     if family not in FAMILIES:
         raise ScenarioError(f"key 'family' must be one of {', '.join(FAMILIES)}, got {family!r}")
-    lower = _number(_require(doc, "lower"), "lower")
-    upper = _number(_require(doc, "upper"), "upper")
-    if not lower < upper:
-        raise ScenarioError(f"key 'lower' must be below 'upper', got [{lower}, {upper}]")
-    if family == "scale" and lower <= 0:
-        raise ScenarioError(f"key 'lower' must be positive for the scale family, got {lower}")
-    at = _number(doc["at"], "at") if "at" in doc else None
-    quantile = _number(doc["quantile"], "quantile") if "quantile" in doc else None
-    if quantile is not None and not 0.0 <= quantile <= 1.0:
-        raise ScenarioError(f"key 'quantile' must lie in [0, 1], got {quantile}")
-    return {"family": family, "lower": lower, "upper": upper, "at": at, "quantile": quantile}
+    lower, upper = (_number(_require(doc, key), key) for key in ("lower", "upper"))
+    at, quantile = (_number(doc[key], key) if key in doc else None for key in ("at", "quantile"))
+    return family, lower, upper, at, quantile
 
 
 def _run_interval(family: str, lower: float, upper: float,
@@ -237,18 +221,14 @@ def _run_interval(family: str, lower: float, upper: float,
     return _density_report("interval", [("family", family)], d, extra)
 
 
-def _parse_von_mises(doc: dict[str, Any]) -> dict[str, Any]:
-    lo = _number(_require(doc, "ratio_lower"), "ratio_lower")
-    hi = _number(_require(doc, "ratio_upper"), "ratio_upper")
-    if not 0 < lo < hi:
-        raise ScenarioError(f"need 0 < ratio_lower < ratio_upper, got [{lo}, {hi}]")
-    return {"ratio_lower": lo, "ratio_upper": hi}
+def _parse_von_mises(doc: dict[str, Any]) -> tuple[float, float]:
+    return tuple(_number(_require(doc, key), key) for key in ("ratio_lower", "ratio_upper"))
 
 
 def _run_von_mises(ratio_lower: float, ratio_upper: float) -> Report:
     from . import haar
 
-    d = haar.von_mises_reduce(haar.VonMisesScenario(ratio_lower, ratio_upper))
+    d = haar.von_mises_reduce(ratio_lower, ratio_upper)
     summary = [("ratio_lower", ratio_lower), ("ratio_upper", ratio_upper)]
     extra = [
         ("density", d.density_at(0.5 * (d.support.lower + d.support.upper))),
@@ -264,21 +244,12 @@ def _post_cells(ray: spin.SpinRay) -> tuple[float, float, float, float]:
     return ray.up.real, ray.up.imag, ray.down.real, ray.down.imag
 
 
-def _parse_spin(doc: dict[str, Any]) -> dict[str, Any]:
+def _parse_spin(doc: dict[str, Any]) -> tuple[float, tuple[complex, complex]]:
     theta = _number(_require(doc, "theta"), "theta")
-    state = (1.0 + 0.0j, 0.0j)
-    if "state" in doc:
-        from . import spin
-
-        raw = doc["state"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
-        state = (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
-        try:
-            spin.SpinRay(*state)
-        except ValueError as err:
-            raise ScenarioError(f"key 'state': {err}") from err
-    return {"theta": theta, "state": state}
+    raw = doc.get("state", [1.0, 0.0])
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
+    return theta, (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
 
 
 def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
@@ -295,7 +266,7 @@ def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
     )
 
 
-def _parse_spin_chain(doc: dict[str, Any]) -> dict[str, Any]:
+def _parse_spin_chain(doc: dict[str, Any]) -> tuple[tuple[float, ...], int, int]:
     raw_thetas = _require(doc, "thetas")
     if not isinstance(raw_thetas, list) or not raw_thetas:
         raise ScenarioError(f"key 'thetas' must be a nonempty list, got {raw_thetas!r}")
@@ -306,7 +277,7 @@ def _parse_spin_chain(doc: dict[str, Any]) -> dict[str, Any]:
     trials = _integer(doc.get("trials", 1), "trials")
     if trials < 1:
         raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
-    return {"thetas": thetas, "seed": seed, "trials": trials}
+    return thetas, seed, trials
 
 
 def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
@@ -340,13 +311,15 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
     )
 
 
-# Every scenario kind, declared once.  The unknown-key check, the canonical form, run()
-# and the CLI's argument mapping all read this table.
-KINDS: dict[str, Kind] = {
-    "coin": Kind((), lambda doc: {}, _run_coin),
-    "die": Kind(("query", "north"), _parse_die, _run_die),
-    "interval": Kind(("family", "lower", "upper", "at", "quantile"), _parse_interval, _run_interval),
-    "von_mises": Kind(("ratio_lower", "ratio_upper"), _parse_von_mises, _run_von_mises),
-    "spin": Kind(("theta", "state"), _parse_spin, _run_spin),
-    "spin_chain": Kind(("thetas", "seed", "trials"), _parse_spin_chain, _run_spin_chain),
+# Every scenario kind, declared once, as (keys, parse, run).  ``keys`` are in canonical order;
+# ``parse(doc)`` checks a document's shape and returns one value per key, in that order;
+# ``run(*params)`` takes the same values as positional parameters named after the keys.
+# The unknown-key check, the canonical form, run() and the CLI's argument mapping all read this table.
+KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict[str, Any]], tuple[Any, ...]], Callable[..., Report]]] = {
+    "coin": ((), lambda doc: (), _run_coin),
+    "die": (("query", "north"), _parse_die, _run_die),
+    "interval": (("family", "lower", "upper", "at", "quantile"), _parse_interval, _run_interval),
+    "von_mises": (("ratio_lower", "ratio_upper"), _parse_von_mises, _run_von_mises),
+    "spin": (("theta", "state"), _parse_spin, _run_spin),
+    "spin_chain": (("thetas", "seed", "trials"), _parse_spin_chain, _run_spin_chain),
 }

@@ -21,7 +21,6 @@ from groupmeasure.groups import (
 )
 from groupmeasure.haar import (
     IntervalConstraint,
-    VonMisesScenario,
     custom_family,
     haar_measure,
     haar_weight,
@@ -129,7 +128,7 @@ def test_05_scale_density_closed_form_and_median():
 
 
 def test_06_von_mises_density_and_reparameterization():
-    water = von_mises_reduce(VonMisesScenario(1.0, 2.0))
+    water = von_mises_reduce(1.0, 2.0)
     ok = abs(water.support.lower - 0.5) <= 1e-12
     ok = ok and abs(water.support.upper - 2.0 / 3.0) <= 1e-12
     for i in range(50):

@@ -204,7 +204,8 @@ def test_each_example_subcommand_takes_exactly_its_kinds_keys():
             continue
         kinds.add(kind)
         dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "format", "out"}
-        assert dests == set(KINDS[kind].keys), name
+        keys, _, _ = KINDS[kind]
+        assert dests == set(keys), name
     assert kinds == set(KINDS)
 
 

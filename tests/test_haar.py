@@ -3,12 +3,11 @@ import math
 import signal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupmeasure.haar import (
     IntervalConstraint,
-    VonMisesScenario,
     custom_family,
     haar_measure,
     haar_weight,
@@ -319,7 +318,7 @@ def test_pushforward_scale_supports_pure_rescaling_only():
 
 
 def test_von_mises_classic_bounds():
-    d = von_mises_reduce(VonMisesScenario(1.0, 2.0))
+    d = von_mises_reduce(1.0, 2.0)
     assert d.support.lower == pytest.approx(0.5, abs=1e-15)
     assert d.support.upper == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert d.density_at(0.6) == pytest.approx(6.0, abs=1e-12)
@@ -329,24 +328,25 @@ def test_von_mises_classic_bounds():
 
 def test_von_mises_narrow_bounds_concentrate():
     eps = 1e-3
-    d = von_mises_reduce(VonMisesScenario(1.0, 1.0 + eps))
+    d = von_mises_reduce(1.0, 1.0 + eps)
     assert d.support.lower == pytest.approx(0.5, abs=1e-12)
     assert d.density_at(0.5 + d.support.width / 2) == pytest.approx(1.0 / d.support.width, rel=1e-9)
 
 
 def test_von_mises_wider_bounds():
-    d = von_mises_reduce(VonMisesScenario(1.0, 3.0))
+    d = von_mises_reduce(1.0, 3.0)
     assert d.support.upper == pytest.approx(0.75, abs=1e-15)
     assert d.density_at(0.6) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_von_mises_requires_ordered_positive_ratios():
-    with pytest.raises(ValueError, match="ratio"):
-        VonMisesScenario(2.0, 1.0)
+    for lower, upper in ((2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match="0 < ratio_lower < ratio_upper"):
+            von_mises_reduce(lower, upper)
 
 
 def test_von_mises_fraction_and_complement_agree():
-    water = von_mises_reduce(VonMisesScenario(1.0, 2.0))
+    water = von_mises_reduce(1.0, 2.0)
     wine = water.pushforward_affine(-1.0, 1.0)
     assert wine.support.lower == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert wine.support.upper == pytest.approx(0.5, abs=1e-12)
@@ -355,6 +355,29 @@ def test_von_mises_fraction_and_complement_agree():
     p_wine_above = 1.0 - wine.cdf(5.0 / 12.0)
     assert p_water_below == pytest.approx(0.5, abs=1e-12)
     assert p_wine_above == pytest.approx(0.5, abs=1e-12)
+
+
+ULP_1 = math.ulp(1.0)
+ratios = st.one_of(st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda e: min(max(10.0**e, 1e-6), 1e6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ratios, b=ratios)
+@example(a=1e-6, b=1e-6 * 1.0156)  # a width tolerance of 1e-9 fails here: the ends near 1 round in binary64
+@example(a=1e-6, b=1e6)
+def test_relabelling_the_liquids_maps_the_water_density_to_the_wine_density(a, b):
+    # Ratio bounds [a, b] of water to wine are bounds [1/b, 1/a] of wine to water.  The fractions
+    # live in [0, 1], so both sides agree within a few ulp of 1, whatever the width.
+    a, b = min(a, b), max(a, b)
+    assume(b / (1.0 + b) - a / (1.0 + a) > 16 * ULP_1)
+    wine = von_mises_reduce(a, b).pushforward_affine(-1.0, 1.0)
+    relabelled = von_mises_reduce(1.0 / b, 1.0 / a)
+    assert abs(relabelled.support.lower - wine.support.lower) <= 8 * ULP_1
+    assert abs(relabelled.support.upper - wine.support.upper) <= 8 * ULP_1
+    assert abs(relabelled.normalizer - wine.normalizer) <= 8 * ULP_1
+    for d in (wine, relabelled):
+        mid = 0.5 * (d.support.lower + d.support.upper)
+        assert abs(d.density_at(mid) * d.normalizer - 1.0) <= 8 * ULP_1
 
 
 @given(

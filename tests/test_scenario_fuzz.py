@@ -1,10 +1,14 @@
 """Property tests over scenario documents: each renders in every format or is refused.
 
-Hypothesis draws ``interval`` and ``spin_chain`` documents, hostile values
-included: bounds across the whole binary64 range (ratios and widths that
-overflow it, subnormals, signed zeros, neighbouring floats), non-finite
-angles and the angles 0, -0, pi and -pi.  Every document must either run and render as table,
-json and csv, or raise ``ScenarioError``, within the hypothesis deadline.
+Hypothesis draws documents of every kind, hostile values included: for
+``interval`` and ``spin_chain``, bounds across the whole binary64 range (ratios
+and widths that overflow it, subnormals, signed zeros, neighbouring floats),
+non-finite angles and the angles 0, -0, pi and -pi; for ``coin``, ``die``,
+``von_mises`` and ``spin``, any key holding extreme numbers, integers beyond the
+float range, bools, strings, ``None`` or nested lists, and ``state`` amplitudes
+as numbers, ``[re, im]`` pairs and pairs that overflow.  Every document must
+either run and render as table, json and csv, or raise ``ScenarioError``, within
+the hypothesis deadline.
 """
 
 import math
@@ -13,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupmeasure.cli import render
-from groupmeasure.scenarios import FAMILIES, ScenarioError, run, scenario_from_dict
+from groupmeasure.scenarios import DIE_QUERIES, FAMILIES, KINDS, ScenarioError, run, scenario_from_dict
 
 FORMATS = ("table", "json", "csv")
 
@@ -88,3 +92,51 @@ def test_chain_documents_render_or_are_refused(thetas, seed, trials):
     report = renders_or_refuses({"kind": "spin_chain", "thetas": thetas, "seed": seed, "trials": trials})
     if report is not None:
         assert len(report.records) == (len(thetas) if trials == 1 else 2)
+
+
+extremes = st.sampled_from((1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -0.0, 0.0, 10**400, -(10**400), math.inf))
+scalars = st.one_of(st.sampled_from((None, True, False, "", "1", "joint")), extremes, st.integers(), st.floats())
+junk = st.one_of(scalars, st.lists(st.one_of(scalars, st.lists(scalars, max_size=2)), max_size=3))
+amplitudes = st.one_of(
+    extremes,
+    st.floats(-1.0, 1.0),
+    st.lists(st.one_of(extremes, st.floats(-1.0, 1.0)), min_size=2, max_size=2),
+    st.sampled_from(([1e308, 1e308], [1e200, 0.0], [0.0, -1e308], [0.6, 0.8])),
+)
+states = st.one_of(
+    st.lists(amplitudes, min_size=2, max_size=2),
+    st.sampled_from(([1, 0], [0.6, [0, 0.8]], [[0.6, 0], [0, 0.8]], [0, -1.0])),
+    st.lists(amplitudes, max_size=3),
+)
+# Each key's plausible values; any key may hold junk instead, or be left out.
+VALUES = {
+    "query": st.sampled_from(DIE_QUERIES),
+    "north": st.integers(-1, 8),
+    "ratio_lower": st.one_of(st.floats(0.0, 1e6), magnitudes, bounds, extremes),
+    "ratio_upper": st.one_of(st.floats(0.0, 1e6), magnitudes, bounds, extremes),
+    "theta": st.one_of(chain_angles, extremes),
+    "state": states,
+}
+
+
+@st.composite
+def other_docs(draw):
+    kind = draw(st.sampled_from(("coin", "die", "von_mises", "spin")))
+    keys, _, _ = KINDS[kind]
+    doc = {"kind": kind}
+    for key in keys:
+        if draw(st.integers(0, 7)):  # absent one time in eight, junk one time in four
+            doc[key] = draw(junk if draw(st.integers(0, 3)) == 0 else VALUES[key])
+    return doc
+
+
+@settings(max_examples=150, deadline=500)
+@given(doc=other_docs())
+@example(doc={"kind": "spin", "theta": 1e308, "state": [[1e308, 1e308], 0]})
+@example(doc={"kind": "spin", "theta": -0.0, "state": [5e-324, [0.0, -1.0]]})
+@example(doc={"kind": "von_mises", "ratio_lower": 1e308, "ratio_upper": 1.7976931348623157e308})
+@example(doc={"kind": "von_mises", "ratio_lower": 5e-324, "ratio_upper": 1e-323})
+@example(doc={"kind": "die", "query": "conditional_north", "north": 10**400})
+@example(doc={"kind": "coin"})
+def test_other_documents_render_or_are_refused(doc):
+    renders_or_refuses(doc)

@@ -1,5 +1,10 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,19 +15,25 @@ from groupmeasure.scenarios import KINDS, Scenario, ScenarioError, parse_scenari
 
 def test_parse_die_marginal():
     s = parse_scenario('{"kind":"die","query":"marginal_up"}')
-    assert s == Scenario("die", {"query": "marginal_up", "north": None})
+    assert s == Scenario("die", ("marginal_up", None))
 
 
 def test_parse_scale_interval():
     s = parse_scenario('{"kind":"interval","family":"scale","lower":1,"upper":2}')
     assert s.kind == "interval"
-    assert s.params["family"] == "scale"
-    assert (s.params["lower"], s.params["upper"]) == (1.0, 2.0)
+    assert s.params == ("scale", 1.0, 2.0, None, None)
 
 
-def test_parse_rejects_scale_with_nonpositive_lower():
-    with pytest.raises(ScenarioError, match="'lower'"):
-        parse_scenario('{"kind":"interval","family":"scale","lower":-1,"upper":2}')
+def test_a_parsed_scenario_cannot_change_and_hashes_by_value():
+    sc = scenario_from_dict({"kind": "spin_chain", "thetas": [1.0], "trials": 5})
+    with pytest.raises(TypeError):
+        sc.params["trials"] = 0
+    with pytest.raises(TypeError):
+        sc.params[2] = 0
+    twin = scenario_from_dict({"kind": "spin_chain", "thetas": [1.0], "trials": 5})
+    assert hash(sc) == hash(twin)
+    assert {sc, twin} == {sc}
+    assert len({sc, twin, scenario_from_dict({"kind": "spin_chain", "thetas": [1.0]})}) == 2
 
 
 def test_parse_rejects_unknown_keys():
@@ -70,23 +81,75 @@ def test_die_conditional_requires_north():
         parse_scenario('{"kind":"die","query":"joint","north":2}')
 
 
-def test_interval_validates_bounds_and_quantile():
-    with pytest.raises(ScenarioError, match="below"):
-        parse_scenario('{"kind":"interval","family":"translation","lower":2,"upper":1}')
-    with pytest.raises(ScenarioError, match="quantile"):
-        parse_scenario(
-            '{"kind":"interval","family":"translation","lower":0,"upper":1,"quantile":1.5}'
-        )
+# One document per value rule that a library function owns -> that function's words for it.
+# Parsing checks only shape, so each document parses, and run() refuses it with the library's text.
+LIBRARY_RULES = {
+    "interval_bounds_reversed": (
+        '{"kind":"interval","family":"translation","lower":2,"upper":1}', "degenerate interval"),
+    "interval_bounds_equal": ('{"kind":"interval","family":"scale","lower":2,"upper":2}', "degenerate interval"),
+    "scale_negative_lower": (
+        '{"kind":"interval","family":"scale","lower":-1,"upper":2}', "scale family needs a positive interval"),
+    "scale_zero_lower": (
+        '{"kind":"interval","family":"scale","lower":0,"upper":2}', "scale family needs a positive interval"),
+    "quantile_above_one": (
+        '{"kind":"interval","family":"translation","lower":0,"upper":1,"quantile":1.5}', r"quantile level .*\[0, 1\]"),
+    "quantile_below_zero": (
+        '{"kind":"interval","family":"scale","lower":1,"upper":2,"quantile":-0.5}', r"quantile level .*\[0, 1\]"),
+    "von_mises_reversed_ratios": (
+        '{"kind":"von_mises","ratio_lower":2,"ratio_upper":1}', "0 < ratio_lower < ratio_upper"),
+    "von_mises_nonpositive_ratio": (
+        '{"kind":"von_mises","ratio_lower":0,"ratio_upper":1}', "0 < ratio_lower < ratio_upper"),
+    "spin_state_not_normalized": ('{"kind":"spin","theta":0,"state":[1,1]}', "ray is not normalized"),
+    "spin_state_overflows": ('{"kind":"spin","theta":0,"state":[1e200,0]}', "ray is not normalized"),
+}
 
 
-def test_spin_state_must_be_normalized():
-    with pytest.raises(ScenarioError, match="state"):
-        parse_scenario('{"kind":"spin","theta":0,"state":[1,1]}')
+@pytest.mark.parametrize("doc, rule", LIBRARY_RULES.values(), ids=LIBRARY_RULES.keys())
+def test_run_refuses_what_the_library_refuses(doc, rule):
+    scenario = parse_scenario(doc)
+    with pytest.raises(ScenarioError, match=f"^{scenario.kind} scenario failed: .*{rule}"):
+        run(scenario)
+
+
+# The smallest valid document of each kind: only its required keys.
+MINIMAL = {
+    "coin": {},
+    "die": {"query": "joint"},
+    "interval": {"family": "translation", "lower": 0, "upper": 1},
+    "von_mises": {"ratio_lower": 1, "ratio_upper": 2},
+    "spin": {"theta": 0.5},
+    "spin_chain": {"thetas": [0.5]},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_and_run_agree_with_the_keys_by_position(kind):
+    # params, keys and the runner's parameters are tied together by position alone.
+    keys, parse, runner = KINDS[kind]
+    assert tuple(inspect.signature(runner).parameters) == keys
+    params = parse(MINIMAL[kind])
+    assert isinstance(params, tuple)
+    assert len(params) == len(keys)
+    assert run(Scenario(kind, params)).kind == kind
+
+
+def test_parsing_any_kind_imports_no_kind_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    docs = [{"kind": kind, **doc} for kind, doc in MINIMAL.items()]
+    docs.append({"kind": "spin", "theta": 0.5, "state": [[0.6, 0], [0, 0.8]]})
+    code = (
+        "import sys\nfrom groupmeasure.scenarios import scenario_from_dict\n"
+        f"for doc in {docs!r}: scenario_from_dict(doc)\n"
+        "print(sorted(m for m in ('groupmeasure.haar', 'groupmeasure.spin') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_spin_state_accepts_complex_pairs():
     s = parse_scenario('{"kind":"spin","theta":0.5,"state":[[0,1],0]}')
-    assert s.params["state"] == (1j, 0j)
+    assert s.params == (0.5, (1j, 0j))
 
 
 def test_chain_validation():
@@ -137,7 +200,8 @@ CANONICAL = {
 def test_canonical_form_round_trips(doc):
     canonical = CANONICAL[doc]
     first = parse_scenario(doc)
-    assert tuple(first.params) == KINDS[first.kind].keys
+    keys, _, _ = KINDS[first.kind]
+    assert len(first.params) == len(keys)
     assert first.canonical_json() == canonical
     second = parse_scenario(canonical)
     assert first == second
@@ -250,7 +314,7 @@ def test_run_chain_builds_its_transition_table_once_per_run(monkeypatch):
 
 
 def test_run_attaches_scenario_context_to_module_errors():
-    s = Scenario("von_mises", {"ratio_lower": 1.0, "ratio_upper": -3.0})  # bypasses validation
+    s = Scenario("von_mises", (1.0, -3.0))  # parses: the order of the ratios is von_mises_reduce's rule
     with pytest.raises(ScenarioError, match="von_mises scenario"):
         run(s)
 
