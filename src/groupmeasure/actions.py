@@ -81,9 +81,9 @@ class GroupAction(Record):
         if len(act) != group.n:
             raise ValueError("action table must have one row per group element")
         n_states = len(states)
-        for row in act:
-            if len(row) != n_states or any(not 0 <= s < n_states for s in row):
-                raise ValueError("action table rows must map every state to a valid state")
+        if (any(len(row) != n_states for row in act)
+                or min(map(min, act)) < 0 or max(map(max, act)) >= n_states):
+            raise ValueError("action table rows must map every state to a valid state")
         e = group.identity
         if any(act[e][s] != s for s in range(n_states)):
             raise ValueError("identity element must fix every state")

@@ -1,12 +1,12 @@
 """Finite transformation groups with explicit composition tables.
 
 Elements are opaque integer ids 0..n-1.  All constructors return fully
-materialized tables so that the group axioms can be checked exhaustively
-at the small orders used here.
+materialized tables so that the group axioms can be checked exhaustively.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 
 from .record import Record
@@ -30,10 +30,9 @@ class FiniteGroup(Record):
             raise ValueError(f"group order must be positive, got {n}")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"{label}: composition table must be {n}x{n}")
-        for row in table:
-            for entry in row:
-                if not 0 <= entry < n:
-                    raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
+        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            entry = next(x for row in table for x in row if not 0 <= x < n)
+            raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
@@ -66,53 +65,53 @@ class FiniteGroup(Record):
         return census
 
 
-def _from_table(label: str, table: list[list[int]]) -> FiniteGroup:
+def _from_table(label: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Finish a constructor: locate the identity and the inverse map."""
-    n = len(table)
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    rows = tuple(map(tuple, table))
+    elements = tuple(range(len(rows)))
+    identity = next(
+        (e for e, row in enumerate(rows) if row == elements and all(r[e] == x for x, r in enumerate(rows))),
+        None,
+    )
     if identity is None:
         raise ValueError(f"{label}: composition table has no two-sided identity")
     inverse = []
-    for a in range(n):
-        inv = next(
-            (b for b in range(n) if table[a][b] == identity and table[b][a] == identity),
-            None,
-        )
+    for a, row in enumerate(rows):
+        inv = row.index(identity) if identity in row else None
+        if inv is None or rows[inv][a] != identity:
+            inv = next((b for b, x in enumerate(row) if x == identity and rows[b][a] == identity), None)
         if inv is None:
             raise ValueError(f"{label}: element {a} has no two-sided inverse")
         inverse.append(inv)
-    return FiniteGroup(label, n, tuple(tuple(row) for row in table), identity, tuple(inverse))
+    return FiniteGroup(label, len(rows), rows, identity, tuple(inverse))
+
+
+def _rotate(block: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    return block[shift:] + block[:shift]
 
 
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n in additive notation: (i, j) -> (i + j) mod n."""
+    """Cyclic group of order n in additive notation: (i, j) -> (i + j) mod n.
+
+    Row i is 0..n-1 rotated left by i, so every row shares one set of ints.
+    """
     if n < 1:
         raise ValueError(f"cyclic group order must be at least 1, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _from_table(f"C{n}", table)
+    elements = tuple(range(n))
+    return _from_table(f"C{n}", [_rotate(elements, i) for i in range(n)])
 
 
 def make_dihedral(k: int) -> FiniteGroup:
     """Dihedral group of order 2k: rotation r of order k, reflection f with f∘r∘f = r^-1.
 
-    Element id s*k + t encodes the word f^s r^t.
+    Element id s*k + t encodes the word f^s r^t.  Then f^s r^t ∘ r^u = f^s r^(t+u)
+    and f^s r^t ∘ f r^u = f^(1-s) r^(u-t): row s*k + t is block s rotated left by t,
+    then block 1-s rotated right by t, where block s holds the ids s*k .. s*k + k-1.
     """
     if k < 1:
         raise ValueError(f"dihedral parameter must be at least 1, got {k}")
-    n = 2 * k
-
-    def mul(a: int, b: int) -> int:
-        s1, t1 = divmod(a, k)
-        s2, t2 = divmod(b, k)
-        s = (s1 + s2) % 2
-        t = ((t1 if s2 == 0 else -t1) + t2) % k
-        return s * k + t
-
-    table = [[mul(a, b) for b in range(n)] for a in range(n)]
+    blocks = (tuple(range(k)), tuple(range(k, 2 * k)))
+    table = [_rotate(blocks[s], t) + _rotate(blocks[1 - s], -t % k) for s in (0, 1) for t in range(k)]
     return _from_table(f"D{k}", table)
 
 
@@ -122,13 +121,20 @@ def make_coin_group() -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with componentwise composition; id (a, b) packed as a*|h| + b."""
-    n = g.n * h.n
-    table = [
-        [g.table[a1][a2] * h.n + h.table[b1][b2] for a2 in range(g.n) for b2 in range(h.n)]
-        for a1 in range(g.n)
-        for b1 in range(h.n)
-    ]
+    """Direct product with componentwise composition; id (a, b) packed as a*|h| + b.
+
+    Row (a1, b1) is, for each a2, the block of ids g.table[a1][a2]*|h| + h.table[b1].
+    """
+    m = h.n
+    # blocks[b1][c] lists c*|h| + h.table[b1], built once for every row that reads it.
+    blocks = [[list(map((c * m).__add__, row)) for c in range(g.n)] for row in h.table]
+    table = []
+    for g_row in g.table:
+        for row_blocks in blocks:
+            row: list[int] = []
+            for c in g_row:
+                row += row_blocks[c]
+            table.append(row)
     return _from_table(f"{g.label}x{h.label}", table)
 
 

@@ -93,7 +93,7 @@ def _amplitude(value: Any, key: str) -> complex:
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Check a decoded scenario object's shape: its keys, their JSON types and enum values.
-    A value rule that a library function states (ordered bounds, a normalized state) is left to run()."""
+    Every value rule (a face value, ordered bounds, a normalized state) is left to run()."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     kind = _require(doc, "kind")
@@ -159,8 +159,6 @@ def _parse_die(doc: dict[str, Any]) -> tuple[str, int | None]:
     north = None
     if query == "conditional_north":
         north = _integer(_require(doc, "north"), "north")
-        if not 1 <= north <= 6:
-            raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
     elif "north" in doc:
         raise ScenarioError("key 'north' is only valid for query 'conditional_north'")
     return query, north
@@ -174,6 +172,8 @@ def _run_die(query: str, north: int | None) -> Report:
     elif query == "marginal_up":
         table = marginalize(joint, {o.label: f"up{o.up}" for o in all_orientations()})
     else:
+        if north not in range(1, 7):
+            raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
         summary.append(("north", north))
         table = condition(joint, lambda label: DieOrientation.from_label(label).north == north)
     return Report(kind="die", summary=tuple(summary), outcomes=table)
@@ -268,21 +268,19 @@ def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
 
 def _parse_spin_chain(doc: dict[str, Any]) -> tuple[tuple[float, ...], int, int]:
     raw_thetas = _require(doc, "thetas")
-    if not isinstance(raw_thetas, list) or not raw_thetas:
-        raise ScenarioError(f"key 'thetas' must be a nonempty list, got {raw_thetas!r}")
+    if not isinstance(raw_thetas, list):
+        raise ScenarioError(f"key 'thetas' must be a list, got {raw_thetas!r}")
     thetas = tuple(_number(t, "thetas") for t in raw_thetas)
-    seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
-    trials = _integer(doc.get("trials", 1), "trials")
-    if trials < 1:
-        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
-    return thetas, seed, trials
+    return thetas, _integer(doc.get("seed", 0), "seed"), _integer(doc.get("trials", 1), "trials")
 
 
 def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
     from . import spin
 
+    if seed < 0:
+        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
+    if trials < 1:
+        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
     table = spin.transition_table(spin.SPIN_UP, thetas)
     if trials == 1:
         trajectory = spin.sequential_chain(table, seed)

@@ -90,14 +90,17 @@ def bayes_factorization_check(
     selected conditional table.  Returns 0 iff the factorization is exact.
     """
     marginal_probs = dict(marginal.outcomes)
+    conditional_probs = {coarse: dict(t.outcomes) for coarse, t in conditionals.items()}
     worst = Fraction(0)
     for label, p in joint.outcomes:
         coarse, fine = split(label)
         if coarse not in marginal_probs:
             raise ValueError(f"coarse label {coarse!r} missing from marginal table")
-        if coarse not in conditionals:
+        if coarse not in conditional_probs:
             raise ValueError(f"no conditional table for coarse label {coarse!r}")
-        residual = abs(p - marginal_probs[coarse] * conditionals[coarse].probability(fine))
+        if fine not in conditional_probs[coarse]:
+            raise ValueError(f"no outcome labelled {fine!r}")
+        residual = abs(p - marginal_probs[coarse] * conditional_probs[coarse][fine])
         if residual > worst:
             worst = residual
     return worst

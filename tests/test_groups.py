@@ -2,7 +2,10 @@ from itertools import permutations, product
 
 import pytest
 
+from groupmeasure.actions import GroupAction
 from groupmeasure.groups import (
+    FiniteGroup,
+    _from_table,
     direct_product,
     make_coin_group,
     make_cyclic,
@@ -144,3 +147,97 @@ def test_constructors_satisfy_group_axioms(group):
     report = verify_group_axioms(group)
     assert report.passed, report.line()
     assert report.worst_residual == 0.0
+
+
+def per_entry(label, n, mul):
+    """(table, identity, inverse) straight from the definitions, one entry at a time."""
+    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    identity = next(e for e in range(n) if all(table[e][x] == x and table[x][e] == x for x in range(n)))
+    inverse = tuple(
+        next(b for b in range(n) if table[a][b] == identity and table[b][a] == identity) for a in range(n)
+    )
+    return label, table, identity, inverse
+
+
+def built(g):
+    return g.label, g.table, g.identity, g.inverse
+
+
+def dihedral_mul(k):
+    def mul(a, b):
+        s1, t1 = divmod(a, k)
+        s2, t2 = divmod(b, k)
+        return (s1 + s2) % 2 * k + ((t1 if s2 == 0 else -t1) + t2) % k
+
+    return mul
+
+
+def product_mul(g, h):
+    def mul(a, b):
+        (a1, b1), (a2, b2) = divmod(a, h.n), divmod(b, h.n)
+        return g.table[a1][a2] * h.n + h.table[b1][b2]
+
+    return mul
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_cyclic_matches_the_per_entry_definition(n):
+    assert built(make_cyclic(n)) == per_entry(f"C{n}", n, lambda a, b: (a + b) % n)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_dihedral_matches_the_per_entry_definition(k):
+    assert built(make_dihedral(k)) == per_entry(f"D{k}", 2 * k, dihedral_mul(k))
+
+
+FACTORS = [make_cyclic(1), make_cyclic(2), make_cyclic(3), make_cyclic(5), make_dihedral(2), make_dihedral(3)]
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [(g, h) for g in FACTORS for h in [*FACTORS, make_cyclic(7), make_octahedral()] if g.n * h.n <= 40],
+    ids=lambda g: g.label,
+)
+def test_direct_product_matches_the_per_entry_definition(g, h):
+    expected = per_entry(f"{g.label}x{h.label}", g.n * h.n, product_mul(g, h))
+    assert built(direct_product(g, h)) == expected
+
+
+def test_an_inverse_is_found_past_a_one_sided_candidate():
+    # Row 2 meets the identity first at 1, but 1∘2 = 2; the two-sided inverse of 2 is 2.
+    rows = [[0, 1, 2], [1, 0, 2], [2, 0, 0]]
+    assert built(_from_table("t", rows)) == per_entry("t", 3, lambda a, b: rows[a][b])
+
+
+@pytest.mark.parametrize(
+    "rows, words",
+    [
+        ([[0, 1], [0, 0]], "t: composition table has no two-sided identity"),
+        ([[0, 1], [1, 1]], "t: element 1 has no two-sided inverse"),
+    ],
+)
+def test_tables_that_are_not_groups_are_refused(rows, words):
+    with pytest.raises(ValueError, match=f"^{words}$"):
+        _from_table("t", rows)
+
+
+@pytest.mark.parametrize(
+    "bad, first",
+    [({(1, 2): 7, (3, 0): -1}, 7), ({(2, 1): -2, (2, 3): 9}, -2), ({(3, 3): 4}, 4), ({(0, 0): -1}, -1)],
+)
+def test_an_entry_out_of_range_is_refused_by_name(bad, first):
+    rows = [list(row) for row in make_cyclic(4).table]
+    for (a, b), entry in bad.items():
+        rows[a][b] = entry
+    with pytest.raises(ValueError, match=rf"^bad: table entry {first} outside 0\.\.3$"):
+        FiniteGroup("bad", 4, tuple(map(tuple, rows)), 0, (0, 3, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "act",
+    [((0, 1), (1, 2)), ((0, 1), (-1, 0)), ((0, 1), (1,)), ((0, 1), (1, 0, 0))],
+    ids=["state_too_large", "state_negative", "row_too_short", "row_too_long"],
+)
+def test_an_action_to_a_state_out_of_range_is_refused(act):
+    with pytest.raises(ValueError, match="^action table rows must map every state to a valid state$"):
+        GroupAction(make_cyclic(2), ("x", "y"), act)

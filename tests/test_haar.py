@@ -1,11 +1,10 @@
-import contextlib
 import math
-import signal
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deadlines import deadline
 from groupmeasure.haar import (
     IntervalConstraint,
     custom_family,
@@ -54,22 +53,6 @@ def test_custom_multiplicative_weight_matches_closed_form():
 def test_custom_family_rejects_bogus_identity():
     with pytest.raises(ValueError, match="identity"):
         custom_family(lambda a, b: a * b + 1.0, identity=0.0)
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time have passed (SIGALRM)."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("law", ["a*b", "a+b+ab"])

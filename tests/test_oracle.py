@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deadlines import deadline
+from groupmeasure import oracle
 from groupmeasure.groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_octahedral
 from groupmeasure.haar import IntervalConstraint, normalize, scale_family
 from groupmeasure.oracle import (
@@ -99,6 +105,106 @@ def test_row_sweep_matches_the_brute_force_definition_on_groups(g):
     report = verify_group_axioms(g)
     expected = brute_force_axioms(g)
     assert (report.passed, report.worst_residual, report.details) == expected == (True, 0.0, f"order {g.n}")
+
+
+def right_zero(n: int) -> FiniteGroup:
+    """a∘b = b: associative, every element a left identity, no two-sided one."""
+    return FiniteGroup(f"right-zero{n}", n, tuple(tuple(range(n)) for _ in range(n)), 0, (0,) * n)
+
+
+def left_zero(n: int) -> FiniteGroup:
+    """a∘b = a: associative, every element a right identity, no two-sided one."""
+    return FiniteGroup(f"left-zero{n}", n, tuple((a,) * n for a in range(n)), 0, (0,) * n)
+
+
+MAGMAS = [right_zero(2), right_zero(5), right_zero(12), left_zero(2), left_zero(5), left_zero(12)]
+
+
+@pytest.mark.parametrize("g", MAGMAS, ids=lambda g: g.label)
+def test_check_matches_the_brute_force_definition_on_associative_magmas(g):
+    # x∘s is s or x, so nothing reaches a new element: the greedy generating set is every element.
+    assert oracle._greedy_generators(g.table) == list(g.elements())
+    report = verify_group_axioms(g)
+    assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(g)
+    assert report.details == "identity,inverse"
+
+
+def test_an_inverse_past_a_one_sided_candidate_is_counted():
+    # Row 2 meets the identity first at 1, but 1∘2 = 2; the two-sided inverse of 2 is 2.
+    g = FiniteGroup("t", 3, ((0, 1, 2), (1, 0, 2), (2, 0, 0)), 0, (0, 1, 2))
+    report = verify_group_axioms(g)
+    assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(g)
+    assert report.details == "associativity"
+
+
+# Groups of order 13-40 whose greedy generating sets have two, three and four elements.
+MEDIUM_GROUPS = [
+    make_cyclic(13),
+    make_cyclic(20),
+    make_dihedral(10),
+    direct_product(make_cyclic(4), make_cyclic(5)),
+    direct_product(make_dihedral(2), make_cyclic(10)),
+]
+
+
+@st.composite
+def relabelled_and_corrupted_groups(draw):
+    """A medium group under a drawn relabelling of its elements, with up to 3 entries changed.
+
+    Relabelling moves the identity and the generators away from the small ids, so the greedy
+    generating set is a different one from table to table.
+    """
+    g = draw(st.sampled_from(MEDIUM_GROUPS))
+    n = g.n
+    label = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[label[a]][label[b]] = label[g.table[a][b]]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(index)][draw(index)] = draw(index)
+    return FiniteGroup(f"{g.label}-relabelled", n, tuple(map(tuple, rows)), label[g.identity], g.inverse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_and_corrupted_groups())
+def test_generator_check_matches_the_brute_force_definition_at_medium_orders(g):
+    report = verify_group_axioms(g)
+    assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(g)
+
+
+@pytest.mark.parametrize("g", MEDIUM_GROUPS, ids=lambda g: g.label)
+def test_a_wrong_entry_in_a_generator_row_is_found(g):
+    # Swapping two entries of the last generator's row keeps that row a permutation, and the
+    # check of that generator is the one that fails.
+    s = oracle._greedy_generators(g.table)[-1]
+    rows = [list(row) for row in g.table]
+    rows[s][0], rows[s][1] = rows[s][1], rows[s][0]
+    broken = FiniteGroup(f"{g.label}-swapped", g.n, tuple(map(tuple, rows)), g.identity, g.inverse)
+    report = verify_group_axioms(broken)
+    assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(broken)
+    assert "associativity" in report.details
+
+
+@pytest.mark.parametrize("g", [make_cyclic(1000), make_dihedral(500)], ids=lambda g: g.label)
+def test_large_groups_are_checked_within_a_second(g):
+    # Sweeping every pair (a, b) would take about 30 s at order 1000; two or three generators take 0.1 s.
+    with deadline(1.0):
+        report = verify_group_axioms(g)
+    assert report.line() == f"group-axioms[{g.label}] PASS residual=0 (order {g.n})"
+
+
+def test_the_group_check_loads_no_numeric_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\nfrom groupmeasure import groups, oracle\n"
+        "assert oracle.verify_group_axioms(groups.make_dihedral(4)).passed\n"
+        "print(sorted(m for m in ('groupmeasure.haar', 'groupmeasure.spin') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_axiom_check_refuses_huge_orders():

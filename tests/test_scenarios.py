@@ -76,7 +76,7 @@ def test_die_conditional_requires_north():
     with pytest.raises(ScenarioError, match="north"):
         parse_scenario('{"kind":"die","query":"conditional_north"}')
     with pytest.raises(ScenarioError, match="1..6"):
-        parse_scenario('{"kind":"die","query":"conditional_north","north":9}')
+        run(parse_scenario('{"kind":"die","query":"conditional_north","north":9}'))
     with pytest.raises(ScenarioError, match="only valid"):
         parse_scenario('{"kind":"die","query":"joint","north":2}')
 
@@ -108,6 +108,26 @@ LIBRARY_RULES = {
 def test_run_refuses_what_the_library_refuses(doc, rule):
     scenario = parse_scenario(doc)
     with pytest.raises(ScenarioError, match=f"^{scenario.kind} scenario failed: .*{rule}"):
+        run(scenario)
+
+
+# One directly built scenario per value rule that parsing leaves to run() -> the words of its refusal.
+# Nothing parses these values, so run() must refuse them itself, or through the library.
+SCENARIO_RULES = {
+    "chain_no_trials": (Scenario("spin_chain", ((1.0,), 0, 0)), "key 'trials' must be at least 1, got 0"),
+    "chain_negative_seed": (Scenario("spin_chain", ((1.0,), -1, 3)), "key 'seed' must be nonnegative, got -1"),
+    "chain_no_angles": (
+        Scenario("spin_chain", ((), 0, 1)), "spin_chain scenario failed: measurement chain needs at least one angle"),
+    "die_north_off_the_die": (
+        Scenario("die", ("conditional_north", 7)), r"key 'north' must be a face value 1\.\.6, got 7"),
+    "die_north_missing": (
+        Scenario("die", ("conditional_north", None)), r"key 'north' must be a face value 1\.\.6, got None"),
+}
+
+
+@pytest.mark.parametrize("scenario, words", SCENARIO_RULES.values(), ids=SCENARIO_RULES.keys())
+def test_run_refuses_a_built_scenario_that_breaks_a_scenario_rule(scenario, words):
+    with pytest.raises(ScenarioError, match=f"^{words}$"):
         run(scenario)
 
 
@@ -154,11 +174,13 @@ def test_spin_state_accepts_complex_pairs():
 
 def test_chain_validation():
     with pytest.raises(ScenarioError, match="thetas"):
-        parse_scenario('{"kind":"spin_chain","thetas":[]}')
+        parse_scenario('{"kind":"spin_chain","thetas":0.1}')
+    with pytest.raises(ScenarioError, match="at least one angle"):
+        run(parse_scenario('{"kind":"spin_chain","thetas":[]}'))
     with pytest.raises(ScenarioError, match="seed"):
-        parse_scenario('{"kind":"spin_chain","thetas":[0.1],"seed":-3}')
+        run(parse_scenario('{"kind":"spin_chain","thetas":[0.1],"seed":-3}'))
     with pytest.raises(ScenarioError, match="trials"):
-        parse_scenario('{"kind":"spin_chain","thetas":[0.1],"trials":0}')
+        run(parse_scenario('{"kind":"spin_chain","thetas":[0.1],"trials":0}'))
     with pytest.raises(ScenarioError, match="number"):
         parse_scenario('{"kind":"spin_chain","thetas":[0.1, true]}')
 

@@ -164,3 +164,11 @@ def test_structural_mismatch_is_an_error(die_joint):
         bayes_factorization_check(
             die_joint, marginal, _north_conditionals(die_joint), lambda l: ("elsewhere", "x")
         )
+
+
+def test_a_fine_label_missing_from_its_conditional_is_an_error(die_joint):
+    marginal = marginalize(die_joint, north_projection())
+    with pytest.raises(ValueError, match="^no outcome labelled 'up9'$"):
+        bayes_factorization_check(
+            die_joint, marginal, _north_conditionals(die_joint), lambda l: (_split_north_up(l)[0], "up9")
+        )
