@@ -139,9 +139,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
+    """Row (x, y, z) of the product is x * b[0] + y * b[1] + z * b[2], written out entry by entry."""
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return tuple([
+        (x * b00 + y * b10 + z * b20, x * b01 + y * b11 + z * b21, x * b02 + y * b12 + z * b22) for x, y, z in a
+    ])
 
 
 _SIGNED_AXES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))

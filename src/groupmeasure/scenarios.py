@@ -91,16 +91,21 @@ def _amplitude(value: Any, key: str) -> complex:
     raise ScenarioError(f"key {key!r} entries must be numbers or [re, im] pairs, got {value!r}")
 
 
+def _spec(kind: Any) -> _KindSpec:
+    """The (keys, parse, run) entry of ``kind`` in KINDS."""
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    return spec
+
+
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Check a decoded scenario object's shape: its keys, their JSON types and enum values.
     Every value rule (a face value, ordered bounds, a normalized state) is left to run()."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     kind = _require(doc, "kind")
-    spec = KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
-        raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    keys, parse, _ = spec
+    keys, parse, _ = _spec(kind)
     unknown = set(doc) - set(keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
@@ -119,10 +124,16 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def run(s: Scenario) -> Report:
-    """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind."""
-    _, _, runner = KINDS[s.kind]
+    """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind.
+
+    The params are first checked by the kind's parser, through the canonical form, so a ``Scenario``
+    built in code meets the same shape rules, in the same words, as a parsed document."""
+    keys, parse, runner = _spec(s.kind)
+    if len(s.params) != len(keys):
+        raise ScenarioError(f"a {s.kind} scenario has {len(keys)} params, got {len(s.params)}")
+    params = parse(s.canonical_dict())
     try:
-        return runner(*s.params)
+        return runner(*params)
     except ScenarioError:
         raise
     except ValueError as err:
@@ -313,7 +324,8 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
 # ``parse(doc)`` checks a document's shape and returns one value per key, in that order;
 # ``run(*params)`` takes the same values as positional parameters named after the keys.
 # The unknown-key check, the canonical form, run() and the CLI's argument mapping all read this table.
-KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict[str, Any]], tuple[Any, ...]], Callable[..., Report]]] = {
+_KindSpec = tuple[tuple[str, ...], Callable[[dict[str, Any]], tuple[Any, ...]], Callable[..., Report]]
+KINDS: dict[str, _KindSpec] = {
     "coin": ((), lambda doc: (), _run_coin),
     "die": (("query", "north"), _parse_die, _run_die),
     "interval": (("family", "lower", "upper", "at", "quantile"), _parse_interval, _run_interval),

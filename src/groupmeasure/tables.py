@@ -1,19 +1,30 @@
 """Exact-rational probability tables: marginalization, conditioning, factorization.
 
-All arithmetic is done with ``fractions.Fraction`` so the finite-group
-results are bit-exact; no floating point enters this module.
+Probabilities are ``fractions.Fraction`` values (or ints) at the API.  Each
+operation reads a table's probabilities once, as integer numerators over
+their common denominator, and does every sum, quotient and comparison on
+those ints; it builds a ``Fraction`` only for a value it returns, once per
+distinct value.  The results are bit-exact; no floating point enters this
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from math import lcm
+from typing import Callable, Mapping, Sequence
 
 from .record import Record
 
 
+def _numerators(outcomes: Sequence[tuple[str, Fraction]]) -> tuple[list[int], int]:
+    """The probabilities as numerators over their least common denominator, and that denominator."""
+    denominator = lcm(*[p.denominator for _, p in outcomes])
+    return [p.numerator * (denominator // p.denominator) for _, p in outcomes], denominator
+
+
 class ProbabilityTable(Record):
-    """Ordered (label, probability) outcomes; probabilities sum to exactly 1."""
+    """Ordered (label, probability) outcomes; probabilities are ints or Fractions and sum to exactly 1."""
 
     __slots__ = ("outcomes",)
 
@@ -21,16 +32,18 @@ class ProbabilityTable(Record):
         if not outcomes:
             raise ValueError("probability table must have at least one outcome")
         seen = set()
-        total = Fraction(0)
         for label, p in outcomes:
             if label in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(label)
-            if p < 0:
+            if type(p) not in (int, Fraction):  # exact types only: a bool, a float or a Decimal is refused
+                raise ValueError(f"probability {p!r} for outcome {label!r} is not an int or a Fraction")
+            if p.numerator < 0:
                 raise ValueError(f"negative probability {p} for outcome {label!r}")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        numerators, denominator = _numerators(outcomes)
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
 
     def labels(self) -> tuple[str, ...]:
@@ -52,18 +65,25 @@ def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     return ProbabilityTable(tuple((label, share) for label in labels))
 
 
+def _over(labels: list[str], numerators: list[int], denominator: int) -> ProbabilityTable:
+    """The table of numerator/denominator per label, with one Fraction per distinct numerator."""
+    values = {n: Fraction(n, denominator) for n in set(numerators)}
+    return ProbabilityTable(tuple(zip(labels, map(values.__getitem__, numerators))))
+
+
 def marginalize(t: ProbabilityTable, projection: Mapping[str, str]) -> ProbabilityTable:
     """Coarse-grain by summing probabilities over the preimages of ``projection``.
 
     Coarse labels keep first-appearance order so output is deterministic.
     """
-    sums: dict[str, Fraction] = {}
-    for label, p in t.outcomes:
+    numerators, denominator = _numerators(t.outcomes)
+    sums: dict[str, int] = {}
+    for (label, _), n in zip(t.outcomes, numerators):
         if label not in projection:
             raise ValueError(f"projection undefined on outcome label {label!r}")
         coarse = projection[label]
-        sums[coarse] = sums.get(coarse, Fraction(0)) + p
-    return ProbabilityTable(tuple(sums.items()))
+        sums[coarse] = sums.get(coarse, 0) + n
+    return _over(list(sums), list(sums.values()), denominator)
 
 
 def condition(t: ProbabilityTable, predicate: Callable[[str], bool]) -> ProbabilityTable:
@@ -71,10 +91,12 @@ def condition(t: ProbabilityTable, predicate: Callable[[str], bool]) -> Probabil
     kept = [(label, p) for label, p in t.outcomes if predicate(label)]
     if not kept:
         raise ValueError("conditioning selects no outcomes")
-    total = sum(p for _, p in kept)
+    # Over the kept outcomes' common denominator, p / total is numerator / sum of numerators.
+    numerators, _ = _numerators(kept)
+    total = sum(numerators)
     if total == 0:
         raise ValueError("conditioning selects only zero-probability outcomes")
-    return ProbabilityTable(tuple((label, p / total) for label, p in kept))
+    return _over([label for label, _ in kept], numerators, total)
 
 
 def bayes_factorization_check(
@@ -89,18 +111,26 @@ def bayes_factorization_check(
     part indexes ``marginal`` and ``conditionals``, the fine part indexes the
     selected conditional table.  Returns 0 iff the factorization is exact.
     """
-    marginal_probs = dict(marginal.outcomes)
-    conditional_probs = {coarse: dict(t.outcomes) for coarse, t in conditionals.items()}
-    worst = Fraction(0)
-    for label, p in joint.outcomes:
+    joint_numerators, a = _numerators(joint.outcomes)
+    marginal_numerators, b = _numerators(marginal.outcomes)
+    marginal_of = dict(zip(marginal.labels(), marginal_numerators))
+    conditional_of = {}
+    for coarse, table in conditionals.items():
+        numerators, c = _numerators(table.outcomes)
+        conditional_of[coarse] = dict(zip(table.labels(), numerators)), c
+    # With joint x/a, marginal y/b and conditional z/c, the residual is |x*b*c - y*z*a| / (a*b*c);
+    # residuals are compared by cross-multiplying, and the largest is the one Fraction built.
+    worst, worst_denominator = 0, 1
+    for (label, _), x in zip(joint.outcomes, joint_numerators):
         coarse, fine = split(label)
-        if coarse not in marginal_probs:
+        if coarse not in marginal_of:
             raise ValueError(f"coarse label {coarse!r} missing from marginal table")
-        if coarse not in conditional_probs:
+        if coarse not in conditional_of:
             raise ValueError(f"no conditional table for coarse label {coarse!r}")
-        if fine not in conditional_probs[coarse]:
+        fine_of, c = conditional_of[coarse]
+        if fine not in fine_of:
             raise ValueError(f"no outcome labelled {fine!r}")
-        residual = abs(p - marginal_probs[coarse] * conditional_probs[coarse][fine])
-        if residual > worst:
-            worst = residual
-    return worst
+        residual = abs(x * b * c - marginal_of[coarse] * fine_of[fine] * a)
+        if residual * worst_denominator > worst * a * b * c:
+            worst, worst_denominator = residual, a * b * c
+    return Fraction(worst, worst_denominator)

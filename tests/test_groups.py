@@ -11,6 +11,7 @@ from groupmeasure.groups import (
     make_cyclic,
     make_dihedral,
     make_octahedral,
+    mat_mul,
     octahedral_matrices,
 )
 from groupmeasure.oracle import verify_group_axioms
@@ -100,6 +101,19 @@ def test_octahedral_matrices_are_the_sorted_signed_permutations_of_determinant_o
             if _det3(m) == 1:
                 reference.append(m)
     assert octahedral_matrices() == tuple(sorted(reference))
+
+
+def test_octahedral_table_is_the_product_of_its_matrices():
+    mats = octahedral_matrices()
+    index = {m: i for i, m in enumerate(mats)}
+    reference = tuple(
+        tuple(index[tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3))]
+              for b in mats)
+        for a in mats
+    )
+    assert make_octahedral().table == reference
+    assert mat_mul(((1, 2, 3), (4, 5, 6), (7, 8, 10)), ((2, 0, 1), (1, 3, 0), (0, 1, 4))) == (
+        (4, 9, 13), (13, 21, 28), (22, 34, 47))
 
 
 def test_coin_group_flip_is_an_involution():

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -120,13 +121,51 @@ SCENARIO_RULES = {
         Scenario("spin_chain", ((), 0, 1)), "spin_chain scenario failed: measurement chain needs at least one angle"),
     "die_north_off_the_die": (
         Scenario("die", ("conditional_north", 7)), r"key 'north' must be a face value 1\.\.6, got 7"),
-    "die_north_missing": (
-        Scenario("die", ("conditional_north", None)), r"key 'north' must be a face value 1\.\.6, got None"),
+    "die_north_missing": (Scenario("die", ("conditional_north", None)), "missing required key 'north'"),
 }
 
 
 @pytest.mark.parametrize("scenario, words", SCENARIO_RULES.values(), ids=SCENARIO_RULES.keys())
 def test_run_refuses_a_built_scenario_that_breaks_a_scenario_rule(scenario, words):
+    with pytest.raises(ScenarioError, match=f"^{words}$"):
+        run(scenario)
+
+
+# One directly built scenario per shape rule that parsing owns -> the document with the same keys and values.
+# run() checks a built scenario's shape as parsing does, so it refuses it with the document's words.
+SHAPE_RULES = {
+    "die_unknown_query": (Scenario("die", ("sideways", None)), {"query": "sideways"}),
+    "die_north_with_joint": (Scenario("die", ("joint", 9)), {"query": "joint", "north": 9}),
+    "die_north_not_an_integer": (
+        Scenario("die", ("conditional_north", 2.0)), {"query": "conditional_north", "north": 2.0}),
+    "chain_trials_not_an_integer": (
+        Scenario("spin_chain", ((1.0,), 0, "3")), {"thetas": [1.0], "seed": 0, "trials": "3"}),
+    "chain_theta_not_a_number": (Scenario("spin_chain", ((1.0, True), 0, 1)), {"thetas": [1.0, True]}),
+    "interval_unknown_family": (
+        Scenario("interval", ("log", 0.0, 1.0, None, None)), {"family": "log", "lower": 0.0, "upper": 1.0}),
+    "interval_bound_not_finite": (
+        Scenario("interval", ("translation", 0.0, math.inf, None, None)),
+        {"family": "translation", "lower": 0.0, "upper": math.inf}),
+    "spin_state_not_a_pair": (Scenario("spin", (0.5, (1.0,))), {"theta": 0.5, "state": [1.0]}),
+    "unknown_kind": (Scenario("dice", ()), {}),
+}
+
+
+@pytest.mark.parametrize("scenario, doc", SHAPE_RULES.values(), ids=SHAPE_RULES.keys())
+def test_run_refuses_a_built_scenario_of_the_wrong_shape_as_parsing_does(scenario, doc):
+    with pytest.raises(ScenarioError) as parsed:
+        scenario_from_dict({"kind": scenario.kind, **doc})
+    with pytest.raises(ScenarioError, match=f"^{re.escape(str(parsed.value))}$"):
+        run(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario, words",
+    [(Scenario("die", ("joint", None, 5)), "a die scenario has 2 params, got 3"),
+     (Scenario("spin", (0.5,)), "a spin scenario has 2 params, got 1")],
+    ids=["extra", "short"],
+)
+def test_run_refuses_a_built_scenario_without_one_param_per_key(scenario, words):
     with pytest.raises(ScenarioError, match=f"^{words}$"):
         run(scenario)
 

@@ -1,6 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmeasure.actions import DieOrientation, all_orientations, die_action, uniform_over_action
 from groupmeasure.tables import (
@@ -38,6 +41,29 @@ def test_table_rejects_negative_probability():
 def test_table_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         ProbabilityTable((("a", Fraction(1, 2)), ("a", Fraction(1, 2))))
+
+
+@pytest.mark.parametrize(
+    "outcomes, label",
+    [
+        ((("a", 0.1), ("b", 0.2), ("c", 0.7)), "a"),
+        ((("a", Fraction(1, 3)), ("b", 2 / 3)), "b"),
+        ((("a", True),), "a"),
+        ((("a", Fraction(1, 2)), ("b", 0), ("c", Decimal("0.5"))), "c"),
+    ],
+    ids=["floats", "fraction_and_float", "bool", "decimal"],
+)
+def test_a_probability_that_is_not_an_int_or_a_fraction_is_refused(outcomes, label):
+    with pytest.raises(ValueError, match=f"^probability .* for outcome '{label}' is not an int or a Fraction$"):
+        ProbabilityTable(outcomes)
+
+
+def test_int_probabilities_are_accepted_and_come_back_as_fractions():
+    table = ProbabilityTable((("a", 1), ("b", 0)))
+    assert table.outcomes == (("a", 1), ("b", 0))
+    for p in (*(p for _, p in marginalize(table, {"a": "x", "b": "x"}).outcomes),
+              *(p for _, p in condition(table, lambda label: True).outcomes)):
+        assert type(p) is Fraction
 
 
 def test_uniform_table_without_labels_is_refused():
@@ -172,3 +198,152 @@ def test_a_fine_label_missing_from_its_conditional_is_an_error(die_joint):
         bayes_factorization_check(
             die_joint, marginal, _north_conditionals(die_joint), lambda l: (_split_north_up(l)[0], "up9")
         )
+
+
+# A plain-Fraction reference for the table operations.  Each refusal raises a ValueError whose
+# message holds the reference's keyword, which the implementation's message must also hold.
+def reference_table(outcomes):
+    seen = set()
+    total = Fraction(0)
+    for label, p in outcomes:
+        if label in seen:
+            raise ValueError("duplicate")
+        seen.add(label)
+        if p < 0:
+            raise ValueError("negative")
+        total += p
+    if total != 1:
+        raise ValueError("sum")
+    return outcomes
+
+
+def reference_marginalize(outcomes, projection):
+    sums = {}
+    for label, p in outcomes:
+        if label not in projection:
+            raise ValueError("undefined")
+        sums[projection[label]] = sums.get(projection[label], Fraction(0)) + p
+    return reference_table(tuple(sums.items()))
+
+
+def reference_condition(outcomes, keep):
+    kept = [(label, p) for label, p in outcomes if keep(label)]
+    if not kept:
+        raise ValueError("no outcomes")
+    total = sum(p for _, p in kept)
+    if total == 0:
+        raise ValueError("zero-probability")
+    return reference_table(tuple((label, p / total) for label, p in kept))
+
+
+def reference_bayes(joint, marginal, conditionals, split):
+    marginal = dict(marginal)
+    conditionals = {c: dict(t) for c, t in conditionals.items()}
+    worst = Fraction(0)
+    for label, p in joint:
+        coarse, fine = split(label)
+        if coarse not in marginal:
+            raise ValueError("missing from marginal")
+        if coarse not in conditionals:
+            raise ValueError("no conditional table")
+        if fine not in conditionals[coarse]:
+            raise ValueError("no outcome labelled")
+        worst = max(worst, abs(p - marginal[coarse] * conditionals[coarse][fine]))
+    return worst
+
+
+def outcome_of(f, *args):
+    """("ok", value) or ("refused", message) for one call."""
+    try:
+        return "ok", f(*args)
+    except ValueError as err:
+        return "refused", str(err)
+
+
+def assert_same(got, want):
+    """The implementation's outcome matches the reference's, and every probability it returns is a Fraction."""
+    if want[0] == "refused":
+        assert got[0] == "refused" and want[1] in got[1], (got, want)
+        return
+    assert got[0] == "ok", got
+    if isinstance(got[1], ProbabilityTable):
+        assert got[1].outcomes == want[1]
+        returned = [p for _, p in got[1].outcomes]
+    else:
+        assert got[1] == want[1]
+        returned = [got[1]]
+    assert all(type(p) is Fraction for p in returned)
+
+
+@st.composite
+def rational_tables(draw):
+    """Outcomes "c<i>|f<j>" with gaps between sorted cut points a/d of [0, 1] as probabilities, d <= 10**6.
+
+    A repeated cut point gives a zero entry.  Some tables are then broken: one probability raised
+    (sum != 1), one made negative with the sum kept, or one label repeated."""
+    n = draw(st.integers(1, 40))
+    denominators = st.integers(1, 10**6)
+    cuts = [Fraction(0)]
+    for _ in range(n - 1):
+        if draw(st.integers(0, 4)) == 0:
+            cuts.append(cuts[-1])
+        else:
+            d = draw(denominators)
+            cuts.append(Fraction(draw(st.integers(0, d)), d))
+    cuts = sorted(cuts) + [Fraction(1)]
+    fine = draw(st.integers(1, 6))
+    labels = [f"c{i // fine}|f{i % fine}" for i in range(n)]
+    probabilities = [b - a for a, b in zip(cuts, cuts[1:])]
+    fault = draw(st.sampled_from(["none"] * 6 + ["sum", "negative", "duplicate"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "sum":
+        probabilities[i] += Fraction(1, draw(denominators))
+    elif fault == "negative" and i != j:
+        moved = probabilities[i] + Fraction(1, draw(denominators))
+        probabilities[i] -= moved
+        probabilities[j] += moved
+    elif fault == "duplicate" and i != j:
+        labels[i] = labels[j]
+    return tuple(zip(labels, probabilities))
+
+
+def split_label(label):
+    coarse, fine = label.split("|")
+    return coarse, fine
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint=rational_tables(), data=st.data())
+def test_table_operations_match_a_plain_fraction_reference(joint, data):
+    built = outcome_of(ProbabilityTable, joint)
+    assert_same(built, outcome_of(reference_table, joint))
+    if built[0] == "refused":
+        return
+    table = built[1]
+    labels = table.labels()
+
+    projection = {label: split_label(label)[0] for label in labels}
+    if data.draw(st.integers(0, 9), label="drop one label") == 0:
+        del projection[data.draw(st.sampled_from(labels), label="undefined at")]
+    assert_same(outcome_of(marginalize, table, projection), outcome_of(reference_marginalize, joint, projection))
+
+    keep = set(data.draw(st.lists(st.sampled_from(labels), max_size=len(labels)), label="kept")).__contains__
+    assert_same(outcome_of(condition, table, keep), outcome_of(reference_condition, joint, keep))
+
+    # The marginal and conditionals come from the joint's probabilities, permuted over its labels:
+    # the identity factorizes exactly, another permutation leaves a residual, and a coarse class
+    # without mass has no conditional table.
+    probabilities = data.draw(st.permutations([p for _, p in joint]), label="permuted")
+    source = ProbabilityTable(tuple(zip(labels, probabilities)))
+    coarse_of = {label: split_label(label)[0] for label in labels}
+    marginal = marginalize(source, coarse_of)
+    conditionals = {}
+    for c, mass in marginal.outcomes:
+        if mass:
+            kept = condition(source, lambda label, c=c: coarse_of[label] == c)
+            conditionals[c] = marginalize(kept, {label: split_label(label)[1] for label in kept.labels()})
+    assert_same(
+        outcome_of(bayes_factorization_check, table, marginal, conditionals, split_label),
+        outcome_of(reference_bayes, joint, marginal.outcomes,
+                   {c: t.outcomes for c, t in conditionals.items()}, split_label),
+    )
