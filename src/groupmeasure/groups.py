@@ -25,7 +25,7 @@ class FiniteGroup(Record):
 
     def __init__(self, label: str, n: int, table: tuple[tuple[int, ...], ...], identity: int,
                  inverse: tuple[int, ...]) -> None:
-        # Cheap shape/closure validation; the full axiom sweep lives in oracle.
+        # The one home of the shape and closure rules; oracle counts the other axioms.
         if n <= 0:
             raise ValueError(f"group order must be positive, got {n}")
         if len(table) != n or any(len(row) != n for row in table):

@@ -58,10 +58,10 @@ def scale_family() -> OneParamFamily:
 
 
 def custom_family(compose: Callable[[float, float], float], identity: float) -> OneParamFamily:
-    """Family from a user composition law; checks phi(a, e) = a at the probe points."""
+    """Family from a user law, real or complex-valued; checks phi(a, e) = a at the probe points."""
     for a in _PROBE_POINTS:
         value = compose(a, identity)
-        if not math.isfinite(value) or abs(value - a) > _IDENTITY_TOL * max(1.0, abs(a)):
+        if not abs(value - a) <= _IDENTITY_TOL * max(1.0, abs(a)):
             raise ValueError(
                 f"compose({a}, {identity}) = {value}; identity parameter does not act trivially"
             )

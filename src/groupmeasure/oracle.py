@@ -43,25 +43,23 @@ class CheckReport(Record):
 def verify_group_axioms(g: FiniteGroup) -> CheckReport:
     """Exhaustive check of the group axioms as row identities; the residual counts violations.
 
-    (a∘s)∘c = a∘(s∘c) for every c at once says that the row of a∘s is row a read
-    through row s.  Light's test checks this only for s in a generating set S,
-    built greedily with no identity or inverse assumed: the set of right
-    factors s for which it holds for all a, c is closed under ∘, so S inside it
-    makes it everything.  If closure or a generator fails, every pair (a, b) is
-    swept the same way, so that the residual counts each violating triple.
+    ``FiniteGroup`` guarantees closure, so it is not counted here.  (a∘s)∘c = a∘(s∘c)
+    for every c at once says that the row of a∘s is row a read through row s.
+    Light's test checks this only for s in a generating set S, built greedily
+    with no identity or inverse assumed: the set of right factors s for which it
+    holds for all a, c is closed under ∘, so S inside it makes it everything.  If
+    a generator fails, every pair (a, b) is swept the same way, so that the
+    residual counts each violating triple.
     """
     n, table, e = g.n, g.table, g.identity
-    if n > 10_000:
+    if n > 4096:
         raise ValueError(f"exhaustive check infeasible at order {n}")
     counts = {
-        "closure": sum(
-            sum(not 0 <= x < n for x in row) for row in table if min(row) < 0 or max(row) >= n
-        ),
         "identity": sum(table[e][a] != a or row[e] != a for a, row in enumerate(table)),
         "inverse": sum(not _has_inverse(table, a, e) for a in range(n)),
         "associativity": 0,
     }
-    if counts["closure"] or not all(_associates_through(table, s) for s in _greedy_generators(table)):
+    if not all(_associates_through(table, s) for s in _greedy_generators(table)):
         counts["associativity"] = _associativity_violations(table)
     violations = sum(counts.values())
     return CheckReport(
@@ -84,7 +82,7 @@ def _has_inverse(table, a: int, e: int) -> bool:
 
 def _greedy_generators(table) -> list[int]:
     """Take the smallest element not yet reached, then close the reached set under x -> x∘s for
-    every s taken; repeat until every element is reached.  The table must be closed."""
+    every s taken; repeat until every element is reached.  ``FiniteGroup`` guarantees closure."""
     reached = [False] * len(table)
     members: list[int] = []
     gens: list[int] = []
@@ -105,7 +103,7 @@ def _greedy_generators(table) -> list[int]:
 
 
 def _associates_through(table, s: int) -> bool:
-    """(a∘s)∘c = a∘(s∘c) for every a and c.  The table must be closed."""
+    """(a∘s)∘c = a∘(s∘c) for every a and c.  ``FiniteGroup`` guarantees closure."""
     if table[s] == tuple(range(len(table))):
         # s∘c = c, so every row reads through row s as itself; this also spares the 1x1 table
         # an itemgetter of one index, which would return a bare entry.

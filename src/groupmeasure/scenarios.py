@@ -42,8 +42,10 @@ class Scenario(Record):
         object.__setattr__(self, "params", tuple(params))
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON form: kind first, then the kind's set keys in canonical order."""
-        keys, _, _ = KINDS[self.kind]
+        """Canonical JSON form: kind first, then the set keys in order; refuses a bad kind or params count."""
+        keys, _, _ = _spec(self.kind)
+        if len(self.params) != len(keys):
+            raise ScenarioError(f"a {self.kind} scenario has {len(keys)} params, got {len(self.params)}")
         return {"kind": self.kind, **{k: _plain(v) for k, v in zip(keys, self.params) if v is not None}}
 
     def canonical_json(self) -> str:
@@ -128,12 +130,10 @@ def run(s: Scenario) -> Report:
 
     The params are first checked by the kind's parser, through the canonical form, so a ``Scenario``
     built in code meets the same shape rules, in the same words, as a parsed document."""
-    keys, parse, runner = _spec(s.kind)
-    if len(s.params) != len(keys):
-        raise ScenarioError(f"a {s.kind} scenario has {len(keys)} params, got {len(s.params)}")
-    params = parse(s.canonical_dict())
+    doc = s.canonical_dict()  # refuses an unknown kind and a params count that is not one per key
+    _, parse, runner = KINDS[s.kind]
     try:
-        return runner(*params)
+        return runner(*parse(doc))
     except ScenarioError:
         raise
     except ValueError as err:

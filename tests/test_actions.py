@@ -117,6 +117,11 @@ def test_action_table_must_respect_identity():
         GroupAction(make_cyclic(2), ("x", "y"), ((1, 0), (0, 1)))
 
 
+def test_action_without_one_row_per_group_element_is_refused():
+    with pytest.raises(ValueError, match="^action table must have one row per group element$"):
+        GroupAction(make_cyclic(2), ("a", "b"), ((0, 1),))
+
+
 def test_action_without_states_is_refused():
     # It used to construct, and uniform_over_action then failed with an IndexError.
     with pytest.raises(ValueError, match="at least one state"):

@@ -236,6 +236,16 @@ def test_tables_that_are_not_groups_are_refused(rows, words):
 
 
 @pytest.mark.parametrize(
+    "n, rows, words",
+    [(0, (), "group order must be positive, got 0"), (2, ((0, 1), (1,)), "t: composition table must be 2x2")],
+    ids=["order_zero", "short_row"],
+)
+def test_a_table_of_the_wrong_shape_is_refused(n, rows, words):
+    with pytest.raises(ValueError, match=f"^{words}$"):
+        FiniteGroup("t", n, rows, 0, tuple(range(n)))
+
+
+@pytest.mark.parametrize(
     "bad, first",
     [({(1, 2): 7, (3, 0): -1}, 7), ({(2, 1): -2, (2, 3): 9}, -2), ({(3, 3): 4}, 4), ({(0, 0): -1}, -1)],
 )

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -53,6 +54,25 @@ def test_custom_multiplicative_weight_matches_closed_form():
 def test_custom_family_rejects_bogus_identity():
     with pytest.raises(ValueError, match="identity"):
         custom_family(lambda a, b: a * b + 1.0, identity=0.0)
+
+
+def test_a_law_written_with_cmath_builds_and_normalizes():
+    # A cmath law returns complex values even at real arguments; the identity probe must compare them.
+    family = custom_family(lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0)  # weight cosh p
+    for lower, upper in ((4.5, 5.5), (-6.0, -5.9), (-1.0, 1.0)):
+        with deadline(1.0):
+            d = normalize(family, IntervalConstraint(lower, upper))
+        assert d.normalizer == pytest.approx(math.sinh(upper) - math.sinh(lower), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "compose",
+    [lambda a, b: math.nan, lambda a, b: a + b + 1e-3j, lambda a, b: a * b],
+    ids=["nan", "imaginary_part", "not_an_identity"],
+)
+def test_the_identity_probe_refuses_a_value_that_is_not_a(compose):
+    with pytest.raises(ValueError, match="identity parameter does not act trivially"):
+        custom_family(compose, 0.0)
 
 
 @pytest.mark.parametrize("law", ["a*b", "a+b+ab"])

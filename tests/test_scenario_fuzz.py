@@ -6,11 +6,13 @@ and widths that overflow it, subnormals, signed zeros, neighbouring floats),
 non-finite angles and the angles 0, -0, pi and -pi; for ``coin``, ``die``,
 ``von_mises`` and ``spin``, any key holding extreme numbers, integers beyond the
 float range, bools, strings, ``None`` or nested lists, and ``state`` amplitudes
-as numbers, ``[re, im]`` pairs and pairs that overflow.  Every document must
-either run and render as table, json and csv, or raise ``ScenarioError``, within
-the hypothesis deadline.
+as numbers, ``[re, im]`` pairs and pairs that overflow.  Every document that
+parses must round-trip through its canonical JSON form to an equal scenario with
+an equal hash, and then either run and render as table, json and csv, or raise
+``ScenarioError``, within the hypothesis deadline.
 """
 
+import json
 import math
 
 from hypothesis import example, given, settings
@@ -34,9 +36,18 @@ chain_angles = st.one_of(
 
 
 def renders_or_refuses(doc):
-    """The report of a document, rendered in every format, or None if it was refused."""
+    """The report of a document, rendered in every format, or None if it was refused.
+
+    A document that parses must come back from its canonical form as the same scenario, with the same hash.
+    """
     try:
-        report = run(scenario_from_dict(doc))
+        scenario = scenario_from_dict(doc)
+    except ScenarioError:
+        return None
+    back = scenario_from_dict(json.loads(scenario.canonical_json()))
+    assert back == scenario and hash(back) == hash(scenario)
+    try:
+        report = run(scenario)
     except ScenarioError:
         return None
     for fmt in FORMATS:
@@ -88,6 +99,7 @@ def test_interval_documents_render_or_are_refused(doc):
     trials=st.integers(min_value=1, max_value=50),
 )
 @example(thetas=[0.0, -0.0, math.pi, -math.pi], seed=0, trials=50)
+@example(thetas=[1e-320, -0.0], seed=2**64, trials=1)
 def test_chain_documents_render_or_are_refused(thetas, seed, trials):
     report = renders_or_refuses({"kind": "spin_chain", "thetas": thetas, "seed": seed, "trials": trials})
     if report is not None:

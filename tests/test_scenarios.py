@@ -166,8 +166,17 @@ def test_run_refuses_a_built_scenario_of_the_wrong_shape_as_parsing_does(scenari
     ids=["extra", "short"],
 )
 def test_run_refuses_a_built_scenario_without_one_param_per_key(scenario, words):
-    with pytest.raises(ScenarioError, match=f"^{words}$"):
-        run(scenario)
+    # The canonical form, which a scenario's hash is read from, refuses it too rather than drop a param.
+    for refuses in (run, Scenario.canonical_json):
+        with pytest.raises(ScenarioError, match=f"^{words}$"):
+            refuses(scenario)
+
+
+def test_the_canonical_form_refuses_an_unknown_kind_as_run_does():
+    words = "unknown kind 'dice'; expected one of " + ", ".join(KINDS)
+    for refuses in (run, Scenario.canonical_json):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(words)}$"):
+            refuses(Scenario("dice", ()))
 
 
 # The smallest valid document of each kind: only its required keys.
