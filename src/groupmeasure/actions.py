@@ -33,7 +33,8 @@ class DieOrientation(Record):
 
     def __init__(self, up: int, north: int) -> None:
         for name, face in (("up", up), ("north", north)):
-            if face not in FACE_AXES:
+            # A bool or float equal to a face would label, compare and hash as that int face.
+            if face not in FACE_AXES or not isinstance(face, int) or isinstance(face, bool):
                 raise ValueError(f"{name} face must be 1..6, got {face}")
         if north == up or north == 7 - up:
             raise ValueError(f"north face {north} is not adjacent to up face {up}")

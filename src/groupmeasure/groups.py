@@ -15,29 +15,30 @@ Matrix = tuple[tuple[int, int, int], ...]
 
 
 class FiniteGroup(Record):
-    """A finite group given by its composition table.
+    """A finite group given by its composition table: ``table[a][b]`` is the id of a∘b.
 
-    ``table[a][b]`` is the id of a∘b.  ``identity`` and ``inverse`` are
-    derived from the table by the constructors.
+    The order ``n`` is read from the table.  The constructor checks the table's shape and
+    the range of its entries and of ``identity``; ``oracle.verify_group_axioms`` checks
+    whether the table is a group.
     """
 
-    __slots__ = ("label", "n", "table", "identity", "inverse")
+    __slots__ = ("label", "n", "table", "identity")
 
-    def __init__(self, label: str, n: int, table: tuple[tuple[int, ...], ...], identity: int,
-                 inverse: tuple[int, ...]) -> None:
-        # The one home of the shape and closure rules; oracle counts the other axioms.
-        if n <= 0:
+    def __init__(self, label: str, table: tuple[tuple[int, ...], ...], identity: int) -> None:
+        n = len(table)
+        if n == 0:
             raise ValueError(f"group order must be positive, got {n}")
-        if len(table) != n or any(len(row) != n for row in table):
+        if any(len(row) != n for row in table):
             raise ValueError(f"{label}: composition table must be {n}x{n}")
         if min(map(min, table)) < 0 or max(map(max, table)) >= n:
             entry = next(x for row in table for x in row if not 0 <= x < n)
             raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
+        if identity not in range(n):
+            raise ValueError(f"{label}: identity {identity!r} outside 0..{n - 1}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
 
     def elements(self) -> range:
         return range(self.n)
@@ -66,7 +67,7 @@ class FiniteGroup(Record):
 
 
 def _from_table(label: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Finish a constructor: locate the identity and the inverse map."""
+    """Finish a constructor: locate the two-sided identity."""
     rows = tuple(map(tuple, table))
     elements = tuple(range(len(rows)))
     identity = next(
@@ -75,15 +76,7 @@ def _from_table(label: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
     )
     if identity is None:
         raise ValueError(f"{label}: composition table has no two-sided identity")
-    inverse = []
-    for a, row in enumerate(rows):
-        inv = row.index(identity) if identity in row else None
-        if inv is None or rows[inv][a] != identity:
-            inv = next((b for b, x in enumerate(row) if x == identity and rows[b][a] == identity), None)
-        if inv is None:
-            raise ValueError(f"{label}: element {a} has no two-sided inverse")
-        inverse.append(inv)
-    return FiniteGroup(label, len(rows), rows, identity, tuple(inverse))
+    return FiniteGroup(label, rows, identity)
 
 
 def _rotate(block: tuple[int, ...], shift: int) -> tuple[int, ...]:

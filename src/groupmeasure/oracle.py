@@ -203,13 +203,13 @@ def _permutation_order(p: tuple[int, ...]) -> int:
 
 
 def integrate(fn: Callable[[float], float], lower: float, upper: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature on [lower, upper] to absolute tolerance ``tol`` or a panel's rounding.
+    """Adaptive Simpson quadrature on a finite [lower, upper] to absolute tolerance ``tol`` or a panel's rounding.
 
     Iterative worklist implementation, deliberately separate from any
     quadrature used elsewhere in the package.
     """
-    if not lower < upper:
-        raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
+    if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
+        raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
 
     def simpson(a: float, fa: float, m: float, fm: float, b: float, fb: float) -> float:
         return (b - a) * (fa + 4.0 * fm + fb) / 6.0

@@ -2,10 +2,11 @@
 
 A scenario is one JSON object with a ``kind`` discriminator and
 kind-specific keys.  Unknown keys are errors, not warnings, so typos in
-fixtures fail loudly.  Running a scenario produces a Report: exact
-rational outcome tables for the finite kinds, density summaries plus a
-plot grid for the interval kinds, outcome probabilities and post-states
-for the spin kinds.
+fixtures fail loudly.  A ``Scenario`` checks every key rule once, when it
+is built, whether from a document or in code, so ``run`` takes it as valid.
+Running a scenario produces a Report: exact rational outcome tables for the
+finite kinds, density summaries plus a plot grid for the interval kinds,
+outcome probabilities and post-states for the spin kinds.
 """
 
 from __future__ import annotations
@@ -32,20 +33,23 @@ class ScenarioError(ValueError):
 
 
 class Scenario(Record):
-    """A parsed scenario: its kind and the value of each of that kind's keys, in canonical order
-    (``None`` for an absent optional key).  Immutable and hashable."""
+    """A checked scenario: its kind and the value of each of that kind's keys, in canonical order
+    (``None`` for an absent optional key).  Immutable and hashable.  The constructor refuses an unknown
+    kind, a params count that is not one per key, and any value the kind's checker refuses; it stores
+    the checker's canonical values.  The value rules that a library owns are left to run()."""
 
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple[Any, ...]) -> None:
+        keys, check, _ = _spec(kind)
+        if len(params) != len(keys):
+            raise ScenarioError(f"a {kind} scenario has {len(keys)} params, got {len(params)}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "params", check(*params))
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON form: kind first, then the set keys in order; refuses a bad kind or params count."""
-        keys, _, _ = _spec(self.kind)
-        if len(self.params) != len(keys):
-            raise ScenarioError(f"a {self.kind} scenario has {len(keys)} params, got {len(self.params)}")
+        """Canonical JSON form: kind first, then the set keys in order."""
+        keys, _, _ = KINDS[self.kind]
         return {"kind": self.kind, **{k: _plain(v) for k, v in zip(keys, self.params) if v is not None}}
 
     def canonical_json(self) -> str:
@@ -63,10 +67,11 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _require(doc: dict, key: str) -> Any:
-    if key not in doc:
+def _required(value: Any, key: str) -> Any:
+    if value is None:
         raise ScenarioError(f"missing required key {key!r}")
-    return doc[key]
+    return value
+
 
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -88,13 +93,15 @@ def _integer(value: Any, key: str) -> int:
 def _amplitude(value: Any, key: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_number(value, key))
-    if isinstance(value, list) and len(value) == 2:
+    if isinstance(value, complex):
+        value = value.real, value.imag
+    if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], key), _number(value[1], key))
     raise ScenarioError(f"key {key!r} entries must be numbers or [re, im] pairs, got {value!r}")
 
 
 def _spec(kind: Any) -> _KindSpec:
-    """The (keys, parse, run) entry of ``kind`` in KINDS."""
+    """The (keys, check, run) entry of ``kind`` in KINDS."""
     spec = KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
@@ -102,16 +109,19 @@ def _spec(kind: Any) -> _KindSpec:
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
-    """Check a decoded scenario object's shape: its keys, their JSON types and enum values.
-    Every value rule (a face value, ordered bounds, a normalized state) is left to run()."""
+    """Build the Scenario of a decoded scenario object.  Here only the object itself, null values,
+    its kind and unknown keys are checked; ``Scenario`` checks the rest."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    kind = _require(doc, "kind")
-    keys, parse, _ = _spec(kind)
+    for key, value in doc.items():  # a Scenario reads None as an absent key, so a null is refused here
+        if value is None:
+            raise ScenarioError(f"key {key!r} must not be null")
+    kind = _required(doc.get("kind"), "kind")
+    keys, _, _ = _spec(kind)
     unknown = set(doc) - set(keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
-    return Scenario(kind, parse(doc))
+    return Scenario(kind, tuple(map(doc.get, keys)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -126,16 +136,10 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def run(s: Scenario) -> Report:
-    """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind.
-
-    The params are first checked by the kind's parser, through the canonical form, so a ``Scenario``
-    built in code meets the same shape rules, in the same words, as a parsed document."""
-    doc = s.canonical_dict()  # refuses an unknown kind and a params count that is not one per key
-    _, parse, runner = KINDS[s.kind]
+    """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind."""
+    _, _, runner = KINDS[s.kind]
     try:
-        return runner(*parse(doc))
-    except ScenarioError:
-        raise
+        return runner(*s.params)
     except ValueError as err:
         raise ScenarioError(f"{s.kind} scenario failed: {err}") from err
 
@@ -163,14 +167,14 @@ def _run_coin() -> Report:
     )
 
 
-def _parse_die(doc: dict[str, Any]) -> tuple[str, int | None]:
-    query = _require(doc, "query")
-    if query not in DIE_QUERIES:
+def _check_die(query: Any, north: Any) -> tuple[str, int | None]:
+    if _required(query, "query") not in DIE_QUERIES:
         raise ScenarioError(f"key 'query' must be one of {', '.join(DIE_QUERIES)}, got {query!r}")
-    north = None
     if query == "conditional_north":
-        north = _integer(_require(doc, "north"), "north")
-    elif "north" in doc:
+        north = _integer(_required(north, "north"), "north")
+        if north not in range(1, 7):
+            raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
+    elif north is not None:
         raise ScenarioError("key 'north' is only valid for query 'conditional_north'")
     return query, north
 
@@ -183,8 +187,6 @@ def _run_die(query: str, north: int | None) -> Report:
     elif query == "marginal_up":
         table = marginalize(joint, {o.label: f"up{o.up}" for o in all_orientations()})
     else:
-        if north not in range(1, 7):
-            raise ScenarioError(f"key 'north' must be a face value 1..6, got {north}")
         summary.append(("north", north))
         table = condition(joint, lambda label: DieOrientation.from_label(label).north == north)
     return Report(kind="die", summary=tuple(summary), outcomes=table)
@@ -209,12 +211,12 @@ def _density_report(
     )
 
 
-def _parse_interval(doc: dict[str, Any]) -> tuple[str, float, float, float | None, float | None]:
-    family = _require(doc, "family")
-    if family not in FAMILIES:
+def _check_interval(family: Any, lower: Any, upper: Any,
+                    at: Any, quantile: Any) -> tuple[str, float, float, float | None, float | None]:
+    if _required(family, "family") not in FAMILIES:
         raise ScenarioError(f"key 'family' must be one of {', '.join(FAMILIES)}, got {family!r}")
-    lower, upper = (_number(_require(doc, key), key) for key in ("lower", "upper"))
-    at, quantile = (_number(doc[key], key) if key in doc else None for key in ("at", "quantile"))
+    lower, upper = (_number(_required(v, k), k) for k, v in (("lower", lower), ("upper", upper)))
+    at, quantile = (None if v is None else _number(v, k) for k, v in (("at", at), ("quantile", quantile)))
     return family, lower, upper, at, quantile
 
 
@@ -232,8 +234,8 @@ def _run_interval(family: str, lower: float, upper: float,
     return _density_report("interval", [("family", family)], d, extra)
 
 
-def _parse_von_mises(doc: dict[str, Any]) -> tuple[float, float]:
-    return tuple(_number(_require(doc, key), key) for key in ("ratio_lower", "ratio_upper"))
+def _check_von_mises(ratio_lower: Any, ratio_upper: Any) -> tuple[float, float]:
+    return tuple(_number(_required(v, k), k) for k, v in (("ratio_lower", ratio_lower), ("ratio_upper", ratio_upper)))
 
 
 def _run_von_mises(ratio_lower: float, ratio_upper: float) -> Report:
@@ -255,12 +257,12 @@ def _post_cells(ray: spin.SpinRay) -> tuple[float, float, float, float]:
     return ray.up.real, ray.up.imag, ray.down.real, ray.down.imag
 
 
-def _parse_spin(doc: dict[str, Any]) -> tuple[float, tuple[complex, complex]]:
-    theta = _number(_require(doc, "theta"), "theta")
-    raw = doc.get("state", [1.0, 0.0])
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise ScenarioError(f"key 'state' must be a two-component list, got {raw!r}")
-    return theta, (_amplitude(raw[0], "state"), _amplitude(raw[1], "state"))
+def _check_spin(theta: Any, state: Any) -> tuple[float, tuple[complex, complex]]:
+    theta = _number(_required(theta, "theta"), "theta")
+    state = (1.0, 0.0) if state is None else state
+    if not isinstance(state, (list, tuple)) or len(state) != 2:
+        raise ScenarioError(f"key 'state' must be a two-component list, got {state!r}")
+    return theta, (_amplitude(state[0], "state"), _amplitude(state[1], "state"))
 
 
 def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
@@ -277,21 +279,22 @@ def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
     )
 
 
-def _parse_spin_chain(doc: dict[str, Any]) -> tuple[tuple[float, ...], int, int]:
-    raw_thetas = _require(doc, "thetas")
-    if not isinstance(raw_thetas, list):
-        raise ScenarioError(f"key 'thetas' must be a list, got {raw_thetas!r}")
-    thetas = tuple(_number(t, "thetas") for t in raw_thetas)
-    return thetas, _integer(doc.get("seed", 0), "seed"), _integer(doc.get("trials", 1), "trials")
+def _check_spin_chain(thetas: Any, seed: Any, trials: Any) -> tuple[tuple[float, ...], int, int]:
+    if not isinstance(_required(thetas, "thetas"), (list, tuple)):
+        raise ScenarioError(f"key 'thetas' must be a list, got {thetas!r}")
+    thetas = tuple(_number(t, "thetas") for t in thetas)
+    seed = _integer(0 if seed is None else seed, "seed")
+    if seed < 0:
+        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
+    trials = _integer(1 if trials is None else trials, "trials")
+    if trials < 1:
+        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
+    return thetas, seed, trials
 
 
 def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report:
     from . import spin
 
-    if seed < 0:
-        raise ScenarioError(f"key 'seed' must be nonnegative, got {seed}")
-    if trials < 1:
-        raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
     table = spin.transition_table(spin.SPIN_UP, thetas)
     if trials == 1:
         trajectory = spin.sequential_chain(table, seed)
@@ -320,16 +323,16 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
     )
 
 
-# Every scenario kind, declared once, as (keys, parse, run).  ``keys`` are in canonical order;
-# ``parse(doc)`` checks a document's shape and returns one value per key, in that order;
-# ``run(*params)`` takes the same values as positional parameters named after the keys.
-# The unknown-key check, the canonical form, run() and the CLI's argument mapping all read this table.
-_KindSpec = tuple[tuple[str, ...], Callable[[dict[str, Any]], tuple[Any, ...]], Callable[..., Report]]
+# Every scenario kind, declared once, as (keys, check, run).  ``keys`` are in canonical order.  ``check``
+# takes one value per key, ``None`` for an absent one, refuses any that breaks a key rule and returns the
+# canonical values, which it accepts in turn; ``run`` takes those.  Both name their parameters after the keys.
+# Scenario(), the unknown-key check, the canonical form, run() and the CLI's argument mapping read this table.
+_KindSpec = tuple[tuple[str, ...], Callable[..., tuple[Any, ...]], Callable[..., Report]]
 KINDS: dict[str, _KindSpec] = {
-    "coin": ((), lambda doc: (), _run_coin),
-    "die": (("query", "north"), _parse_die, _run_die),
-    "interval": (("family", "lower", "upper", "at", "quantile"), _parse_interval, _run_interval),
-    "von_mises": (("ratio_lower", "ratio_upper"), _parse_von_mises, _run_von_mises),
-    "spin": (("theta", "state"), _parse_spin, _run_spin),
-    "spin_chain": (("thetas", "seed", "trials"), _parse_spin_chain, _run_spin_chain),
+    "coin": ((), lambda: (), _run_coin),
+    "die": (("query", "north"), _check_die, _run_die),
+    "interval": (("family", "lower", "upper", "at", "quantile"), _check_interval, _run_interval),
+    "von_mises": (("ratio_lower", "ratio_upper"), _check_von_mises, _run_von_mises),
+    "spin": (("theta", "state"), _check_spin, _run_spin),
+    "spin_chain": (("thetas", "seed", "trials"), _check_spin_chain, _run_spin_chain),
 }

@@ -25,6 +25,14 @@ def test_orientation_validation():
         DieOrientation(7, 2)
 
 
+@pytest.mark.parametrize("up, north", [(True, 2), (2, True), (2.0, 1)], ids=["up_true", "north_true", "up_float"])
+def test_a_face_that_is_not_an_int_is_refused(up, north):
+    # True == 1 and 2.0 == 2, so a bool or float face would pass the range check and then
+    # label, compare and hash as the int face: DieOrientation(True, 2) == DieOrientation(1, 2).
+    with pytest.raises(ValueError, match=r"face must be 1\.\.6"):
+        DieOrientation(up, north)
+
+
 def test_orientation_label_roundtrip():
     o = DieOrientation(4, 5)
     assert o.label == "up4_north5"
@@ -137,7 +145,7 @@ def test_relabeling_by_group_element_preserves_probabilities():
     for g in (1, 7, 20):
         perm = action.act[g]
         relabeled_states = tuple(action.states[perm[s]] for s in range(24))
-        inv = action.group.inverse[g]
+        inv = action.group.table[g].index(action.group.identity)
         act = tuple(
             tuple(
                 action.act[inv][action.apply(h, perm[s])]

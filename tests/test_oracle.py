@@ -36,7 +36,7 @@ def test_corrupted_table_fails_axioms():
     g = make_cyclic(4)
     rows = [list(row) for row in g.table]
     rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
-    corrupted = FiniteGroup("C4-broken", 4, tuple(tuple(r) for r in rows), g.identity, g.inverse)
+    corrupted = FiniteGroup("C4-broken", tuple(tuple(r) for r in rows), g.identity)
     report = verify_group_axioms(corrupted)
     assert not report.passed
     assert report.worst_residual > 0
@@ -91,7 +91,7 @@ def corrupted_groups(draw):
             rows[a][i], rows[a][j] = rows[a][j], rows[a][i]
         else:
             rows[a][i] = j
-    return FiniteGroup(f"{g.label}-corrupted", g.n, tuple(map(tuple, rows)), g.identity, g.inverse)
+    return FiniteGroup(f"{g.label}-corrupted", tuple(map(tuple, rows)), g.identity)
 
 
 @given(corrupted_groups())
@@ -109,12 +109,12 @@ def test_row_sweep_matches_the_brute_force_definition_on_groups(g):
 
 def right_zero(n: int) -> FiniteGroup:
     """a∘b = b: associative, every element a left identity, no two-sided one."""
-    return FiniteGroup(f"right-zero{n}", n, tuple(tuple(range(n)) for _ in range(n)), 0, (0,) * n)
+    return FiniteGroup(f"right-zero{n}", tuple(tuple(range(n)) for _ in range(n)), 0)
 
 
 def left_zero(n: int) -> FiniteGroup:
     """a∘b = a: associative, every element a right identity, no two-sided one."""
-    return FiniteGroup(f"left-zero{n}", n, tuple((a,) * n for a in range(n)), 0, (0,) * n)
+    return FiniteGroup(f"left-zero{n}", tuple((a,) * n for a in range(n)), 0)
 
 
 MAGMAS = [right_zero(2), right_zero(5), right_zero(12), left_zero(2), left_zero(5), left_zero(12)]
@@ -131,7 +131,7 @@ def test_check_matches_the_brute_force_definition_on_associative_magmas(g):
 
 def test_an_inverse_past_a_one_sided_candidate_is_counted():
     # Row 2 meets the identity first at 1, but 1∘2 = 2; the two-sided inverse of 2 is 2.
-    g = FiniteGroup("t", 3, ((0, 1, 2), (1, 0, 2), (2, 0, 0)), 0, (0, 1, 2))
+    g = FiniteGroup("t", ((0, 1, 2), (1, 0, 2), (2, 0, 0)), 0)
     report = verify_group_axioms(g)
     assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(g)
     assert report.details == "associativity"
@@ -164,7 +164,7 @@ def relabelled_and_corrupted_groups(draw):
     index = st.integers(0, n - 1)
     for _ in range(draw(st.integers(0, 3))):
         rows[draw(index)][draw(index)] = draw(index)
-    return FiniteGroup(f"{g.label}-relabelled", n, tuple(map(tuple, rows)), label[g.identity], g.inverse)
+    return FiniteGroup(f"{g.label}-relabelled", tuple(map(tuple, rows)), label[g.identity])
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,7 +181,7 @@ def test_a_wrong_entry_in_a_generator_row_is_found(g):
     s = oracle._greedy_generators(g.table)[-1]
     rows = [list(row) for row in g.table]
     rows[s][0], rows[s][1] = rows[s][1], rows[s][0]
-    broken = FiniteGroup(f"{g.label}-swapped", g.n, tuple(map(tuple, rows)), g.identity, g.inverse)
+    broken = FiniteGroup(f"{g.label}-swapped", tuple(map(tuple, rows)), g.identity)
     report = verify_group_axioms(broken)
     assert (report.passed, report.worst_residual, report.details) == brute_force_axioms(broken)
     assert "associativity" in report.details
@@ -209,7 +209,7 @@ def test_the_group_check_loads_no_numeric_module():
 
 def test_axiom_check_refuses_huge_orders():
     g = make_cyclic(2)
-    huge = FiniteGroup("huge", 2, g.table, g.identity, g.inverse)
+    huge = FiniteGroup("huge", g.table, g.identity)
     for order in (4097, 20_000):
         object.__setattr__(huge, "n", order)  # simulate an infeasible order
         with pytest.raises(ValueError, match=f"^exhaustive check infeasible at order {order}$"):
@@ -247,6 +247,14 @@ def test_integrate_normalized_density():
 def test_integrate_requires_ordered_bounds():
     with pytest.raises(ValueError, match="lower < upper"):
         integrate(lambda x: x, 2.0, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)], ids=["upper", "lower", "both"]
+)
+def test_integrate_refuses_infinite_bounds(lower, upper):
+    with pytest.raises(ValueError, match=rf"^need finite lower < upper, got \[{lower}, {upper}\]$"):
+        integrate(math.exp, lower, upper, 1e-10)
 
 
 def test_integrate_exact_reciprocal_over_nine_decades():

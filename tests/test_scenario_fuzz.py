@@ -6,20 +6,24 @@ and widths that overflow it, subnormals, signed zeros, neighbouring floats),
 non-finite angles and the angles 0, -0, pi and -pi; for ``coin``, ``die``,
 ``von_mises`` and ``spin``, any key holding extreme numbers, integers beyond the
 float range, bools, strings, ``None`` or nested lists, and ``state`` amplitudes
-as numbers, ``[re, im]`` pairs and pairs that overflow.  Every document that
-parses must round-trip through its canonical JSON form to an equal scenario with
-an equal hash, and then either run and render as table, json and csv, or raise
-``ScenarioError``, within the hypothesis deadline.
+as numbers, ``[re, im]`` pairs and pairs that overflow.  A ``Scenario`` built
+in code from a document's values must be refused exactly when the document is,
+in the same words.  Every document that parses must be accepted again by the
+constructor from its own params, and round-trip through its canonical JSON form,
+to an equal scenario with an equal hash; it must then either run and render as
+table, json and csv, or raise ``ScenarioError``, within the hypothesis deadline.
 """
 
 import json
 import math
+import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupmeasure.cli import render
-from groupmeasure.scenarios import DIE_QUERIES, FAMILIES, KINDS, ScenarioError, run, scenario_from_dict
+from groupmeasure.scenarios import DIE_QUERIES, FAMILIES, KINDS, Scenario, ScenarioError, run, scenario_from_dict
 
 FORMATS = ("table", "json", "csv")
 
@@ -38,12 +42,22 @@ chain_angles = st.one_of(
 def renders_or_refuses(doc):
     """The report of a document, rendered in every format, or None if it was refused.
 
-    A document that parses must come back from its canonical form as the same scenario, with the same hash.
+    Unless it holds a null, which only parsing refuses (no drawn document has an unknown key),
+    the constructor, given the document's values by position, refuses it exactly when parsing
+    does, in the same words.  A document that parses must come back from its params, and from
+    its canonical form, as the same scenario, with the same hash.
     """
+    keys, _, _ = KINDS[doc["kind"]]
+    values = tuple(map(doc.get, keys))
     try:
         scenario = scenario_from_dict(doc)
-    except ScenarioError:
+    except ScenarioError as parsed:
+        if None not in doc.values():
+            with pytest.raises(ScenarioError, match=f"^{re.escape(str(parsed))}$"):
+                Scenario(doc["kind"], values)
         return None
+    assert Scenario(doc["kind"], values) == scenario
+    assert Scenario(scenario.kind, scenario.params) == scenario
     back = scenario_from_dict(json.loads(scenario.canonical_json()))
     assert back == scenario and hash(back) == hash(scenario)
     try:

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import re
@@ -77,13 +78,13 @@ def test_die_conditional_requires_north():
     with pytest.raises(ScenarioError, match="north"):
         parse_scenario('{"kind":"die","query":"conditional_north"}')
     with pytest.raises(ScenarioError, match="1..6"):
-        run(parse_scenario('{"kind":"die","query":"conditional_north","north":9}'))
+        parse_scenario('{"kind":"die","query":"conditional_north","north":9}')
     with pytest.raises(ScenarioError, match="only valid"):
         parse_scenario('{"kind":"die","query":"joint","north":2}')
 
 
 # One document per value rule that a library function owns -> that function's words for it.
-# Parsing checks only shape, so each document parses, and run() refuses it with the library's text.
+# A Scenario checks only the key rules, so each document parses, and run() refuses it with the library's text.
 LIBRARY_RULES = {
     "interval_bounds_reversed": (
         '{"kind":"interval","family":"translation","lower":2,"upper":1}', "degenerate interval"),
@@ -102,6 +103,7 @@ LIBRARY_RULES = {
         '{"kind":"von_mises","ratio_lower":0,"ratio_upper":1}', "0 < ratio_lower < ratio_upper"),
     "spin_state_not_normalized": ('{"kind":"spin","theta":0,"state":[1,1]}', "ray is not normalized"),
     "spin_state_overflows": ('{"kind":"spin","theta":0,"state":[1e200,0]}', "ray is not normalized"),
+    "chain_no_angles": ('{"kind":"spin_chain","thetas":[]}', "measurement chain needs at least one angle"),
 }
 
 
@@ -112,71 +114,65 @@ def test_run_refuses_what_the_library_refuses(doc, rule):
         run(scenario)
 
 
-# One directly built scenario per value rule that parsing leaves to run() -> the words of its refusal.
-# Nothing parses these values, so run() must refuse them itself, or through the library.
+# Each (kind, params) in the next three tests breaks a key rule, so it is refused when it is built,
+# and run() never sees it.  Here: one directly built scenario per key rule on values -> its refusal's words.
 SCENARIO_RULES = {
-    "chain_no_trials": (Scenario("spin_chain", ((1.0,), 0, 0)), "key 'trials' must be at least 1, got 0"),
-    "chain_negative_seed": (Scenario("spin_chain", ((1.0,), -1, 3)), "key 'seed' must be nonnegative, got -1"),
-    "chain_no_angles": (
-        Scenario("spin_chain", ((), 0, 1)), "spin_chain scenario failed: measurement chain needs at least one angle"),
-    "die_north_off_the_die": (
-        Scenario("die", ("conditional_north", 7)), r"key 'north' must be a face value 1\.\.6, got 7"),
-    "die_north_missing": (Scenario("die", ("conditional_north", None)), "missing required key 'north'"),
+    "chain_no_trials": ("spin_chain", ((1.0,), 0, 0), "key 'trials' must be at least 1, got 0"),
+    "chain_negative_seed": ("spin_chain", ((1.0,), -1, 3), "key 'seed' must be nonnegative, got -1"),
+    "die_north_off_the_die": ("die", ("conditional_north", 7), r"key 'north' must be a face value 1\.\.6, got 7"),
+    "die_north_missing": ("die", ("conditional_north", None), "missing required key 'north'"),
 }
 
 
-@pytest.mark.parametrize("scenario, words", SCENARIO_RULES.values(), ids=SCENARIO_RULES.keys())
-def test_run_refuses_a_built_scenario_that_breaks_a_scenario_rule(scenario, words):
+@pytest.mark.parametrize("kind, params, words", SCENARIO_RULES.values(), ids=SCENARIO_RULES.keys())
+def test_run_refuses_a_built_scenario_that_breaks_a_scenario_rule(kind, params, words):
     with pytest.raises(ScenarioError, match=f"^{words}$"):
-        run(scenario)
+        Scenario(kind, params)
 
 
-# One directly built scenario per shape rule that parsing owns -> the document with the same keys and values.
-# run() checks a built scenario's shape as parsing does, so it refuses it with the document's words.
+# One directly built scenario per shape rule -> the document with the same keys and values.
+# The constructor checks both, so it refuses the scenario in the document's words.
 SHAPE_RULES = {
-    "die_unknown_query": (Scenario("die", ("sideways", None)), {"query": "sideways"}),
-    "die_north_with_joint": (Scenario("die", ("joint", 9)), {"query": "joint", "north": 9}),
+    "die_unknown_query": ("die", ("sideways", None), {"query": "sideways"}),
+    "die_north_with_joint": ("die", ("joint", 9), {"query": "joint", "north": 9}),
     "die_north_not_an_integer": (
-        Scenario("die", ("conditional_north", 2.0)), {"query": "conditional_north", "north": 2.0}),
+        "die", ("conditional_north", 2.0), {"query": "conditional_north", "north": 2.0}),
     "chain_trials_not_an_integer": (
-        Scenario("spin_chain", ((1.0,), 0, "3")), {"thetas": [1.0], "seed": 0, "trials": "3"}),
-    "chain_theta_not_a_number": (Scenario("spin_chain", ((1.0, True), 0, 1)), {"thetas": [1.0, True]}),
+        "spin_chain", ((1.0,), 0, "3"), {"thetas": [1.0], "seed": 0, "trials": "3"}),
+    "chain_theta_not_a_number": ("spin_chain", ((1.0, True), 0, 1), {"thetas": [1.0, True]}),
     "interval_unknown_family": (
-        Scenario("interval", ("log", 0.0, 1.0, None, None)), {"family": "log", "lower": 0.0, "upper": 1.0}),
+        "interval", ("log", 0.0, 1.0, None, None), {"family": "log", "lower": 0.0, "upper": 1.0}),
     "interval_bound_not_finite": (
-        Scenario("interval", ("translation", 0.0, math.inf, None, None)),
+        "interval", ("translation", 0.0, math.inf, None, None),
         {"family": "translation", "lower": 0.0, "upper": math.inf}),
-    "spin_state_not_a_pair": (Scenario("spin", (0.5, (1.0,))), {"theta": 0.5, "state": [1.0]}),
-    "unknown_kind": (Scenario("dice", ()), {}),
+    "spin_state_not_a_pair": ("spin", (0.5, [1.0]), {"theta": 0.5, "state": [1.0]}),
+    "unknown_kind": ("dice", (), {}),
 }
 
 
-@pytest.mark.parametrize("scenario, doc", SHAPE_RULES.values(), ids=SHAPE_RULES.keys())
-def test_run_refuses_a_built_scenario_of_the_wrong_shape_as_parsing_does(scenario, doc):
+@pytest.mark.parametrize("kind, params, doc", SHAPE_RULES.values(), ids=SHAPE_RULES.keys())
+def test_run_refuses_a_built_scenario_of_the_wrong_shape_as_parsing_does(kind, params, doc):
     with pytest.raises(ScenarioError) as parsed:
-        scenario_from_dict({"kind": scenario.kind, **doc})
+        scenario_from_dict({"kind": kind, **doc})
     with pytest.raises(ScenarioError, match=f"^{re.escape(str(parsed.value))}$"):
-        run(scenario)
+        Scenario(kind, params)
 
 
 @pytest.mark.parametrize(
-    "scenario, words",
-    [(Scenario("die", ("joint", None, 5)), "a die scenario has 2 params, got 3"),
-     (Scenario("spin", (0.5,)), "a spin scenario has 2 params, got 1")],
+    "kind, params, words",
+    [("die", ("joint", None, 5), "a die scenario has 2 params, got 3"),
+     ("spin", (0.5,), "a spin scenario has 2 params, got 1")],
     ids=["extra", "short"],
 )
-def test_run_refuses_a_built_scenario_without_one_param_per_key(scenario, words):
-    # The canonical form, which a scenario's hash is read from, refuses it too rather than drop a param.
-    for refuses in (run, Scenario.canonical_json):
-        with pytest.raises(ScenarioError, match=f"^{words}$"):
-            refuses(scenario)
+def test_run_refuses_a_built_scenario_without_one_param_per_key(kind, params, words):
+    with pytest.raises(ScenarioError, match=f"^{words}$"):
+        Scenario(kind, params)
 
 
-def test_the_canonical_form_refuses_an_unknown_kind_as_run_does():
+def test_a_scenario_of_an_unknown_kind_cannot_be_built():
     words = "unknown kind 'dice'; expected one of " + ", ".join(KINDS)
-    for refuses in (run, Scenario.canonical_json):
-        with pytest.raises(ScenarioError, match=f"^{re.escape(words)}$"):
-            refuses(Scenario("dice", ()))
+    with pytest.raises(ScenarioError, match=f"^{re.escape(words)}$"):
+        Scenario("dice", ())
 
 
 # The smallest valid document of each kind: only its required keys.
@@ -192,13 +188,22 @@ MINIMAL = {
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_parse_and_run_agree_with_the_keys_by_position(kind):
-    # params, keys and the runner's parameters are tied together by position alone.
-    keys, parse, runner = KINDS[kind]
+    # params, keys and the parameters of the checker and of the runner are tied together by position alone.
+    keys, check, runner = KINDS[kind]
+    assert tuple(inspect.signature(check).parameters) == keys
     assert tuple(inspect.signature(runner).parameters) == keys
-    params = parse(MINIMAL[kind])
+    params = check(*map(MINIMAL[kind].get, keys))
     assert isinstance(params, tuple)
     assert len(params) == len(keys)
+    assert check(*params) == params
     assert run(Scenario(kind, params)).kind == kind
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, (keys, _, _) in KINDS.items() for key in keys])
+def test_a_null_value_is_refused_by_name(kind, key):
+    # A Scenario reads None as an absent key, so parsing must not let a JSON null through as one.
+    with pytest.raises(ScenarioError, match=f"^key {key!r} must not be null$"):
+        parse_scenario(json.dumps({"kind": kind, **MINIMAL[kind], key: None}))
 
 
 def test_parsing_any_kind_imports_no_kind_module():
@@ -226,9 +231,9 @@ def test_chain_validation():
     with pytest.raises(ScenarioError, match="at least one angle"):
         run(parse_scenario('{"kind":"spin_chain","thetas":[]}'))
     with pytest.raises(ScenarioError, match="seed"):
-        run(parse_scenario('{"kind":"spin_chain","thetas":[0.1],"seed":-3}'))
+        parse_scenario('{"kind":"spin_chain","thetas":[0.1],"seed":-3}')
     with pytest.raises(ScenarioError, match="trials"):
-        run(parse_scenario('{"kind":"spin_chain","thetas":[0.1],"trials":0}'))
+        parse_scenario('{"kind":"spin_chain","thetas":[0.1],"trials":0}')
     with pytest.raises(ScenarioError, match="number"):
         parse_scenario('{"kind":"spin_chain","thetas":[0.1, true]}')
 
@@ -384,7 +389,7 @@ def test_run_chain_builds_its_transition_table_once_per_run(monkeypatch):
 
 
 def test_run_attaches_scenario_context_to_module_errors():
-    s = Scenario("von_mises", (1.0, -3.0))  # parses: the order of the ratios is von_mises_reduce's rule
+    s = Scenario("von_mises", (1.0, -3.0))  # builds: the order of the ratios is von_mises_reduce's rule
     with pytest.raises(ScenarioError, match="von_mises scenario"):
         run(s)
 
