@@ -33,7 +33,7 @@ class FiniteGroup(Record):
         if min(map(min, table)) < 0 or max(map(max, table)) >= n:
             entry = next(x for row in table for x in row if not 0 <= x < n)
             raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
-        if identity not in range(n):
+        if isinstance(identity, bool) or not isinstance(identity, int) or not 0 <= identity < n:
             raise ValueError(f"{label}: identity {identity!r} outside 0..{n - 1}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "n", n)

@@ -35,8 +35,10 @@ class ScenarioError(ValueError):
 class Scenario(Record):
     """A checked scenario: its kind and the value of each of that kind's keys, in canonical order
     (``None`` for an absent optional key).  Immutable and hashable.  The constructor refuses an unknown
-    kind, a params count that is not one per key, and any value the kind's checker refuses; it stores
-    the checker's canonical values.  The value rules that a library owns are left to run()."""
+    kind, a params count that is not one per key, and any value the kind's checker refuses.  The checker
+    reads each value in its JSON form (``_plain``), so a Scenario built in code is refused in the same words
+    as the document it stands for; it stores the checker's canonical values.  The value rules that a
+    library owns are left to run()."""
 
     __slots__ = ("kind", "params")
 
@@ -45,7 +47,7 @@ class Scenario(Record):
         if len(params) != len(keys):
             raise ScenarioError(f"a {kind} scenario has {len(keys)} params, got {len(params)}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", check(*params))
+        object.__setattr__(self, "params", check(*map(_plain, params)))
 
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON form: kind first, then the set keys in order."""
@@ -59,8 +61,8 @@ class Scenario(Record):
 
 
 def _plain(value: Any) -> Any:
-    """JSON-ready value: tuples become lists, complex numbers [re, im] pairs."""
-    if isinstance(value, tuple):
+    """JSON-ready value: tuples become lists, complex numbers [re, im] pairs, at any depth."""
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -93,9 +95,7 @@ def _integer(value: Any, key: str) -> int:
 def _amplitude(value: Any, key: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_number(value, key))
-    if isinstance(value, complex):
-        value = value.real, value.imag
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], key), _number(value[1], key))
     raise ScenarioError(f"key {key!r} entries must be numbers or [re, im] pairs, got {value!r}")
 
@@ -109,19 +109,20 @@ def _spec(kind: Any) -> _KindSpec:
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
-    """Build the Scenario of a decoded scenario object.  Here only the object itself, null values,
-    its kind and unknown keys are checked; ``Scenario`` checks the rest."""
+    """Build the Scenario of a decoded scenario object.  Here only the object itself, its kind, unknown
+    keys and null values are checked; ``Scenario`` checks the rest."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    for key, value in doc.items():  # a Scenario reads None as an absent key, so a null is refused here
-        if value is None:
-            raise ScenarioError(f"key {key!r} must not be null")
-    kind = _required(doc.get("kind"), "kind")
-    keys, _, _ = _spec(kind)
+    if "kind" not in doc:
+        raise ScenarioError("missing required key 'kind'")
+    keys, _, _ = _spec(doc["kind"])
     unknown = set(doc) - set(keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
-    return Scenario(kind, tuple(map(doc.get, keys)))
+    for key in keys:  # a Scenario reads None as an absent key, so a null is refused here
+        if key in doc and doc[key] is None:
+            raise ScenarioError(f"key {key!r} must not be null")
+    return Scenario(doc["kind"], tuple(map(doc.get, keys)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -259,8 +260,8 @@ def _post_cells(ray: spin.SpinRay) -> tuple[float, float, float, float]:
 
 def _check_spin(theta: Any, state: Any) -> tuple[float, tuple[complex, complex]]:
     theta = _number(_required(theta, "theta"), "theta")
-    state = (1.0, 0.0) if state is None else state
-    if not isinstance(state, (list, tuple)) or len(state) != 2:
+    state = [1.0, 0.0] if state is None else state
+    if not isinstance(state, list) or len(state) != 2:
         raise ScenarioError(f"key 'state' must be a two-component list, got {state!r}")
     return theta, (_amplitude(state[0], "state"), _amplitude(state[1], "state"))
 
@@ -280,7 +281,7 @@ def _run_spin(theta: float, state: tuple[complex, complex]) -> Report:
 
 
 def _check_spin_chain(thetas: Any, seed: Any, trials: Any) -> tuple[tuple[float, ...], int, int]:
-    if not isinstance(_required(thetas, "thetas"), (list, tuple)):
+    if not isinstance(_required(thetas, "thetas"), list):
         raise ScenarioError(f"key 'thetas' must be a list, got {thetas!r}")
     thetas = tuple(_number(t, "thetas") for t in thetas)
     seed = _integer(0 if seed is None else seed, "seed")
@@ -324,8 +325,8 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
 
 
 # Every scenario kind, declared once, as (keys, check, run).  ``keys`` are in canonical order.  ``check``
-# takes one value per key, ``None`` for an absent one, refuses any that breaks a key rule and returns the
-# canonical values, which it accepts in turn; ``run`` takes those.  Both name their parameters after the keys.
+# takes one value per key in its JSON form, ``None`` for an absent one, refuses any that breaks a key rule and
+# returns the canonical values, whose JSON form it accepts in turn; ``run`` takes those.  Both name their parameters after the keys.
 # Scenario(), the unknown-key check, the canonical form, run() and the CLI's argument mapping read this table.
 _KindSpec = tuple[tuple[str, ...], Callable[..., tuple[Any, ...]], Callable[..., Report]]
 KINDS: dict[str, _KindSpec] = {

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations, product
 
 import pytest
@@ -252,8 +253,9 @@ def test_an_action_to_a_state_out_of_range_is_refused(act):
         GroupAction(make_cyclic(2), ("x", "y"), act)
 
 
-@pytest.mark.parametrize("identity", [5, -1, 2])
+@pytest.mark.parametrize("identity", [5, -1, 2, 1.0, True])
 def test_an_identity_out_of_range_is_refused_by_name(identity):
-    # 5 used to fail later with a bare IndexError, and -1 read the last row as the identity's.
-    with pytest.raises(ValueError, match=rf"^t: identity {identity} outside 0\.\.1$"):
+    # 5 used to fail later with a bare IndexError, and -1 read the last row as the identity's;
+    # 1.0 and True equal an id but cannot index a row.
+    with pytest.raises(ValueError, match=rf"^t: identity {re.escape(repr(identity))} outside 0\.\.1$"):
         FiniteGroup("t", ((0, 1), (1, 0)), identity)

@@ -39,12 +39,13 @@ def test_a_parsed_scenario_cannot_change_and_hashes_by_value():
 
 
 def test_parse_rejects_unknown_keys():
-    with pytest.raises(ScenarioError, match="unknown keys"):
-        parse_scenario('{"kind":"coin","sides":2}')
+    for doc in ('{"kind":"coin","sides":2}', '{"kind":"coin","sides":null}'):
+        with pytest.raises(ScenarioError, match="^unknown keys: 'sides'$"):
+            parse_scenario(doc)
 
 
 def test_parse_rejects_unknown_kind():
-    for doc in ('{"kind":"dice"}', '{"kind":["coin"]}'):
+    for doc in ('{"kind":"dice"}', '{"kind":["coin"]}', '{"kind":null}'):
         with pytest.raises(ScenarioError, match="unknown kind"):
             parse_scenario(doc)
 
@@ -145,7 +146,9 @@ SHAPE_RULES = {
     "interval_bound_not_finite": (
         "interval", ("translation", 0.0, math.inf, None, None),
         {"family": "translation", "lower": 0.0, "upper": math.inf}),
-    "spin_state_not_a_pair": ("spin", (0.5, [1.0]), {"theta": 0.5, "state": [1.0]}),
+    "spin_state_not_a_pair": ("spin", (0.5, (1.0,)), {"theta": 0.5, "state": [1.0]}),
+    "spin_amplitude_not_a_pair": (
+        "spin", (0.5, ((1.0, 0.0, 0.0), 0.0)), {"theta": 0.5, "state": [[1.0, 0.0, 0.0], 0.0]}),
     "unknown_kind": ("dice", (), {}),
 }
 
@@ -195,7 +198,7 @@ def test_parse_and_run_agree_with_the_keys_by_position(kind):
     params = check(*map(MINIMAL[kind].get, keys))
     assert isinstance(params, tuple)
     assert len(params) == len(keys)
-    assert check(*params) == params
+    assert Scenario(kind, params).params == params
     assert run(Scenario(kind, params)).kind == kind
 
 
