@@ -92,9 +92,6 @@ class GroupAction(Record):
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "act", act)
 
-    def apply(self, element: int, state: int) -> int:
-        return self.act[element][state]
-
 
 def coin_action() -> GroupAction:
     """The order-2 coin group acting on {heads, tails}; the flip swaps them."""

@@ -1,11 +1,11 @@
 """One-parameter transformation families and their invariant (Haar) weights.
 
-A family is a composition law phi(a, b) with identity parameter e.  The
-left-invariant weight at p is 1 / (d phi(p, b) / d b at b = e): constant
-for the translation family, 1/p for the scale family.  Normalizing the
-weight over an observation interval gives the density used to answer
-queries; the translation case is the classic uniform-on-an-interval
-density, the scale case the 1/(x log ratio) density.
+A family is a composition law phi(a, b) with identity e and left-invariant weight
+1 / (d phi(p, b) / d b at b = e).  It acts by translation on u, the weight's
+integral, so the invariant measure of [l, x] is u(x) - u(l) and cdf(x) = (u(x) -
+u(lower)) / normalizer (Jaynes, "Prior Probabilities", 1968).  A family's chart
+gives this canonical coordinate u: x for translation, log x for scale, a GK15
+table over the interval for a custom law.  A built-in's table is one exact panel.
 
 This module is floating point (binary64) throughout; tolerances are
 declared per operation.  Everything is pure and immutable; sampling is
@@ -19,13 +19,10 @@ import heapq
 import itertools
 import math
 import random
+from collections import namedtuple
 from typing import Callable
 
 from .record import Record
-
-TRANSLATION = "translation"
-SCALE = "scale"
-CUSTOM = "custom"
 
 _COMPLEX_STEP = 2.0**-100  # a power of two, so that dividing it out is exact
 _FD_STEP = float(2.0**-52) ** (1.0 / 3.0)  # cbrt of machine epsilon
@@ -35,14 +32,18 @@ _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
 
+# A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, 0 if exact);
+# point(d, q) solves u(x) = u(lower) + q * d.normalizer; affine(a, b): does a*x + b keep d in the family?
+_Chart = namedtuple("_Chart", "name form weight panel point affine")
+
 
 class OneParamFamily(Record):
-    """A one-parameter transformation family: kind tag, composition law, identity."""
+    """A one-parameter transformation family: its chart, composition law and identity."""
 
-    __slots__ = ("kind", "compose", "identity")
+    __slots__ = ("chart", "compose", "identity")
 
-    def __init__(self, kind: str, compose: Callable[[float, float], float], identity: float) -> None:
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, chart: _Chart, compose: Callable[[float, float], float], identity: float) -> None:
+        object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "compose", compose)
         object.__setattr__(self, "identity", identity)
 
@@ -90,50 +91,20 @@ class IntervalConstraint(Record):
 
 
 def haar_weight(f: OneParamFamily, p: float) -> float:
-    """Left-invariant weight at parameter p.
-
-    Closed form for the built-in families.  A custom family's rate is the complex step
-    Im compose(p, e + ih) / h, or a central difference with step scaled to e if b cannot be complex.
-    """
+    """Left-invariant weight at parameter p: the derivative of f's canonical coordinate, from its chart."""
     if not math.isfinite(p):
         raise ValueError(f"parameter must be finite, got {p}")
-    if f.kind == TRANSLATION:
-        return 1.0
-    if f.kind == SCALE:
-        if p <= 0:
-            raise ValueError(f"scale family is defined on positive reals, got {p}")
-        return 1.0 / p
-    try:
-        rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
-    except TypeError:
-        h = _FD_STEP * max(abs(f.identity), 1.0)
-        rate = (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
-    if not math.isfinite(rate) or rate <= 0:
-        raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
-    return 1.0 / rate
+    return f.chart.weight(f, p)
 
 
 def haar_measure(f: OneParamFamily, c: IntervalConstraint) -> float:
     """Unnormalized invariant measure of the interval: integral of the weight."""
-    if f.kind == TRANSLATION:
-        return c.width
-    if f.kind == SCALE:
-        if c.lower <= 0:
-            raise ValueError(f"scale family needs a positive interval, got lower={c.lower}")
-        return _log_ratio(c.upper, c.lower)
     return _weight_table(f, c)[1][-1]
 
 
-def _log_ratio(x: float, lower: float) -> float:
-    """log(x / lower); a difference of logs only where the ratio overflows binary64."""
-    ratio = x / lower
-    return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(lower)
-
-
 class NormalizedDensity(Record):
-    """The invariant weight normalized to integrate to 1 over the support."""
+    """The weight normalized to 1 over the support, with the chart's table: panel edges, the integral up to each."""
 
-    # A custom family also keeps its quadrature's panel edges, and the weight integral up to each.
     __slots__ = ("family", "support", "normalizer", "edges", "cumulative")
 
     def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float,
@@ -147,7 +118,7 @@ class NormalizedDensity(Record):
     @property
     def form(self) -> str:
         """Closed-form tag: 'constant', 'reciprocal', or 'custom'."""
-        return {TRANSLATION: "constant", SCALE: "reciprocal"}.get(self.family.kind, "custom")
+        return self.family.chart.form
 
     def density_at(self, x: float) -> float:
         """Normalized weight at x, 0 outside the support; ValueError at nan or where it overflows binary64."""
@@ -161,45 +132,25 @@ class NormalizedDensity(Record):
         return value
 
     def cdf(self, x: float) -> float:
-        """Mass below x; for a custom family, the table at the edge below x plus one GK15 rule."""
+        """Mass below x: (u(x) - u(lower)) / normalizer, read as the table at the edge below x plus one panel."""
         if math.isnan(x):
             raise ValueError("cdf at x=nan is undefined")
         if x <= self.support.lower:
             return 0.0
         if x >= self.support.upper:
             return 1.0
-        if self.family.kind == TRANSLATION:
-            return (x - self.support.lower) / self.normalizer
-        if self.family.kind == SCALE:
-            return _log_ratio(x, self.support.lower) / self.normalizer
         i = bisect.bisect_right(self.edges, x) - 1
-        partial = self.cumulative[i] + _gk15(self.family, self.edges[i], x)[0]
+        partial = self.cumulative[i] + self.family.chart.panel(self.family, self.edges[i], x)[0]
         return min(1.0, max(0.0, partial / self.normalizer))
 
     def quantile(self, q: float) -> float:
-        """Inverse of cdf; closed form where available, else bisection inside the table's panel."""
+        """Inverse of cdf: the point of the chart at u(lower) + q * normalizer."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
-        if q == 0.0 or q == 1.0:  # the formulas below round at the ends, the bisection stops short
+        if q == 0.0 or q == 1.0:  # the closed forms round at the ends, the bisection stops short
             return hi if q else lo
-        if self.family.kind != CUSTOM:
-            if self.family.kind == TRANSLATION:
-                x = lo + q * self.normalizer
-            elif hi / lo < math.inf:
-                x = lo * (hi / lo) ** q
-            else:  # a difference of logs, whose sum can round past log(hi) and overflow exp
-                x = math.exp(min(math.log(lo) + q * self.normalizer, math.log(hi)))
-            return min(max(x, lo), hi)  # rounding can step outside the support
-        i = min(bisect.bisect_right(self.cumulative, q * self.normalizer), len(self.edges) - 1) - 1
-        lo, hi = self.edges[i], self.edges[i + 1]
-        while hi - lo > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return min(max(self.family.chart.point(self, q), lo), hi)  # rounding can step outside the support
 
     def sample(self, seed: int, n: int) -> list[float]:
         """Inverse-transform sampling; deterministic given the seed."""
@@ -209,30 +160,24 @@ class NormalizedDensity(Record):
         return [self.quantile(rng.random()) for _ in range(n)]
 
     def pushforward_affine(self, a: float, b: float) -> NormalizedDensity:
-        """Density of y = a*x + b.
+        """Density of y = a*x + b, where the family's chart accepts the map.
 
-        Supported closed-form cases: any affine map of a constant-weight
-        density, and pure positive rescaling of a scale-family density
-        (which is again a scale-family density on the mapped support).
+        The translation family accepts any map, the scale family a pure positive rescaling (b = 0, a > 0).
         """
         if a == 0:
             raise ValueError("affine map with a=0 collapses the support to a point")
-        if self.family.kind == TRANSLATION:
-            ends = sorted((a * self.support.lower + b, a * self.support.upper + b))
-            return normalize(self.family, IntervalConstraint(ends[0], ends[1]))
-        if self.family.kind == SCALE and b == 0 and a > 0:
-            return normalize(
-                self.family, IntervalConstraint(a * self.support.lower, a * self.support.upper)
+        if not self.family.chart.affine(a, b):
+            raise ValueError(
+                f"no closed-form pushforward for {self.family.chart.name} family under y = {a}*x + {b}"
             )
-        raise ValueError(
-            f"no closed-form pushforward for {self.family.kind} family under y = {a}*x + {b}"
-        )
+        ends = sorted((a * self.support.lower + b, a * self.support.upper + b))
+        return normalize(self.family, IntervalConstraint(ends[0], ends[1]))
 
 
 def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     """Normalize the invariant weight over the observation interval."""
-    edges, cumulative = _weight_table(f, c) if f.kind == CUSTOM else ((), ())
-    normalizer = cumulative[-1] if cumulative else haar_measure(f, c)
+    edges, cumulative = _weight_table(f, c)
+    normalizer = cumulative[-1]
     if not math.isfinite(normalizer) or normalizer <= 0:
         raise ValueError(f"weight integral over [{c.lower}, {c.upper}] is {normalizer}")
     return NormalizedDensity(f, c, normalizer, edges, cumulative)
@@ -253,6 +198,52 @@ def von_mises_reduce(ratio_lower: float, ratio_upper: float) -> NormalizedDensit
     return normalize(translation_family(), IntervalConstraint(lo, hi))
 
 
+def _scale_weight(f: OneParamFamily, p: float) -> float:
+    if p <= 0:
+        raise ValueError(f"scale family is defined on positive reals, got {p}")
+    return 1.0 / p
+
+
+def _scale_panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
+    """log(b / a) in closed form, error 0; a difference of logs only where the ratio overflows binary64."""
+    if a <= 0:
+        raise ValueError(f"scale family needs a positive interval, got lower={a}")
+    ratio = b / a
+    return (math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)), 0.0
+
+
+def _scale_point(d: NormalizedDensity, q: float) -> float:
+    lo, hi = d.support.lower, d.support.upper
+    if hi / lo < math.inf:
+        return lo * (hi / lo) ** q
+    # a difference of logs, whose sum can round past log(hi) and overflow exp
+    return math.exp(min(math.log(lo) + q * d.normalizer, math.log(hi)))
+
+
+def _rate_weight(f: OneParamFamily, p: float) -> float:
+    """1 / rate, by the complex step Im compose(p, e + ih) / h, or by a central difference if b cannot be complex."""
+    try:
+        rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
+    except TypeError:
+        h = _FD_STEP * max(abs(f.identity), 1.0)
+        rate = (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
+    if not math.isfinite(rate) or rate <= 0:
+        raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
+    return 1.0 / rate
+
+
+def _bisect_point(d: NormalizedDensity, q: float) -> float:
+    i = min(bisect.bisect_right(d.cumulative, q * d.normalizer), len(d.edges) - 1) - 1
+    lo, hi = d.edges[i], d.edges[i + 1]
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if d.cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK 1983): (node, Kronrod
 # weight, Gauss weight) for the positive nodes; the rule is symmetric about 0.
 _GK15 = (
@@ -271,17 +262,24 @@ def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
     """Kronrod 15-point integral of f's weight over [a, b], and its distance from the Gauss 7-point one."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     f_center = haar_weight(f, center)
+    weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
     kronrod, gauss = _GK15_CENTER[0] * f_center, _GK15_CENTER[1] * f_center
     for x, wk, wg in _GK15:
-        pair = haar_weight(f, center - half * x) + haar_weight(f, center + half * x)
+        pair = weight(f, center - half * x) + weight(f, center + half * x)
         kronrod += wk * pair
         gauss += wg * pair
     return half * kronrod, half * abs(kronrod - gauss)
 
 
+TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0),
+                     lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True)
+SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0)
+CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _bisect_point, lambda a, b: False)
+
+
 def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Panel edges over c and the weight integral up to each, halving the worst GK15 panel until converged."""
-    value, error = _gk15(f, c.lower, c.upper)
+    """Panel edges over c and the weight integral up to each, halving the worst panel until converged."""
+    value, error = f.chart.panel(f, c.lower, c.upper)
     panels = [(-error, c.lower, c.upper, value)]
     total, total_error = value, error
     while total_error > _QUAD_REL_TOL * total:
@@ -291,7 +289,7 @@ def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple[float
         total, total_error = total - value, total_error + neg_error
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            value, error = _gk15(f, lo, hi)
+            value, error = f.chart.panel(f, lo, hi)
             heapq.heappush(panels, (-error, lo, hi, value))
             total, total_error = total + value, total_error + error
     panels.sort(key=lambda panel: panel[1])

@@ -26,6 +26,8 @@ DIE_QUERIES = ("joint", "marginal_up", "conditional_north")
 FAMILIES = ("translation", "scale")
 
 GRID_POINTS = 101
+CHAIN_MAX_TRIALS = 100_000  # a chain at either limit takes 1-2 s of CPU on a 2-vCPU host
+CHAIN_MAX_STEPS = 3_200_000  # trials times angles
 
 
 class ScenarioError(ValueError):
@@ -290,6 +292,9 @@ def _check_spin_chain(thetas: Any, seed: Any, trials: Any) -> tuple[tuple[float,
     trials = _integer(1 if trials is None else trials, "trials")
     if trials < 1:
         raise ScenarioError(f"key 'trials' must be at least 1, got {trials}")
+    limit = min(CHAIN_MAX_TRIALS, CHAIN_MAX_STEPS // max(len(thetas), 1))
+    if trials > limit:
+        raise ScenarioError(f"key 'trials' must be at most {limit} over {len(thetas)} angle(s), got {trials}")
     return thetas, seed, trials
 
 

@@ -52,7 +52,7 @@ def test_die_action_has_24_states():
 def test_die_action_identity_fixes_reference_orientation():
     action = die_action()
     i = action.states.index("up1_north2")
-    assert action.apply(action.group.identity, i) == i
+    assert action.act[action.group.identity][i] == i
 
 
 def test_die_action_is_simply_transitive():
@@ -60,7 +60,7 @@ def test_die_action_is_simply_transitive():
     n = len(action.states)
     for s in range(n):
         for t in range(n):
-            movers = [g for g in action.group.elements() if action.apply(g, s) == t]
+            movers = [g for g in action.group.elements() if action.act[g][s] == t]
             assert len(movers) == 1
 
 
@@ -70,7 +70,7 @@ def test_die_action_is_a_homomorphism():
         for h in action.group.elements():
             gh = action.group.compose(g, h)
             for s in range(0, 24, 5):
-                assert action.apply(g, action.apply(h, s)) == action.apply(gh, s)
+                assert action.act[g][action.act[h][s]] == action.act[gh][s]
 
 
 def _orientation_after(m):
@@ -148,7 +148,7 @@ def test_relabeling_by_group_element_preserves_probabilities():
         inv = action.group.table[g].index(action.group.identity)
         act = tuple(
             tuple(
-                action.act[inv][action.apply(h, perm[s])]
+                action.act[inv][action.act[h][perm[s]]]
                 for s in range(24)
             )
             for h in action.group.elements()

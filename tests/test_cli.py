@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from groupmeasure.cli import _build_parser, main, render
-from groupmeasure.scenarios import KINDS, parse_scenario, run
+from groupmeasure.cli import _build_parser, _scenario_from_args, main, render
+from groupmeasure.scenarios import KINDS, ScenarioError, parse_scenario, run
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,25 @@ def test_chain_refuses_empty_theta_entries(capsys, thetas):
     assert out == ""
     assert err.startswith("error: --thetas must be comma-separated numbers")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "thetas, trials, message",
+    [
+        ("1", "1000000000", "key 'trials' must be at most 100000 over 1 angle(s), got 1000000000"),
+        (",".join(["1"] * 33), "100000", "key 'trials' must be at most 96969 over 33 angle(s), got 100000"),
+    ],
+    ids=["trials", "steps"],
+)
+def test_a_chain_past_its_work_limit_is_refused_at_once(capsys, thetas, trials, message):
+    argv = ["chain", "--thetas", thetas, "--trials", trials]
+    args = _build_parser().parse_args(argv)
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as refused:
+        _scenario_from_args(args)
+    assert time.perf_counter() - start < 0.01
+    assert str(refused.value) == message
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_chain_machine_output_is_byte_identical(capsys):

@@ -104,6 +104,17 @@ def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
             assert d.normalizer == pytest.approx(1.154577482912893, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "lower, upper, node",
+    [(-1.7e308, 1.7e308, "-inf"), (1e308, 1.5e308, "inf"), (-1.7976931348623157e308, -1e308, "-inf")],
+    ids=["half-width-overflows", "midpoint-overflows", "width-overflows"],
+)
+def test_a_custom_panel_whose_nodes_overflow_is_refused(lower, upper, node):
+    family = custom_family(lambda a, b: a + b, identity=0.0)
+    with pytest.raises(ValueError, match=f"^parameter must be finite, got {node}$"):
+        normalize(family, IntervalConstraint(lower, upper))
+
+
 @pytest.mark.parametrize("lower, upper", [(1.0, 100.0), (0.01, 1.0), (1e-6, 1.0)])
 def test_scale_law_over_a_wide_ratio_normalizes_in_bounded_time(lower, upper):
     family = custom_family(lambda a, b: a * b, identity=1.0)
@@ -224,6 +235,78 @@ def test_quantile_at_levels_0_and_1_stays_in_the_support(family, lower, upper):
     d = normalize(family, IntervalConstraint(lower, upper))
     assert d.quantile(0.0) == lower
     assert d.quantile(1.0) == upper
+
+
+# The closed forms of the built-in families, written out apart from haar.  The module must give
+# them to the last bit: the goldens print 12 digits, so only this test sees a change in the low bits.
+def _translation_forms(lo, hi):
+    def quantile(q):
+        return min(max(lo + q * (hi - lo), lo), hi)
+
+    return hi - lo, lambda x: (x - lo) / (hi - lo), quantile, lambda x: 1.0 / (hi - lo)
+
+
+def _scale_forms(lo, hi):
+    def log_ratio(x):  # a difference of logs only where the ratio overflows binary64
+        return math.log(x / lo) if x / lo < math.inf else math.log(x) - math.log(lo)
+
+    def quantile(q):
+        if hi / lo < math.inf:
+            x = lo * (hi / lo) ** q
+        else:
+            x = math.exp(min(math.log(lo) + q * log_ratio(hi), math.log(hi)))
+        return min(max(x, lo), hi)
+
+    return log_ratio(hi), lambda x: log_ratio(x) / log_ratio(hi), quantile, lambda x: 1.0 / x / log_ratio(hi)
+
+
+BIT_EXACT_LEVELS = (0.0, 2.0**-53, 1e-12, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0 - 1e-12, 1.0 - 2.0**-53, 1.0)
+
+
+@pytest.mark.parametrize(
+    "family, lower, upper",
+    [
+        ("translation", 0.0, 1.0),
+        ("translation", 2.0, 7.0),
+        ("translation", -13.5, -12.5),
+        ("translation", -1e3, 1e-3),
+        ("translation", 0.1, 0.7),
+        ("translation", 48.97445511102119, 119.95167722991836),
+        ("translation", -10.0, 0.0001),
+        ("scale", 1.0, 4.0),
+        ("scale", 0.3, 7.5),
+        ("scale", 1e-6, 1.0),
+        ("scale", 2.0, 250.0),
+        ("scale", 1e-200, 1e250),
+        ("scale", 3e-310, 1e10),
+        ("scale", 1e-76, 1.7976931348621712e308),
+        ("scale", 1e-300, 1e300),
+    ],
+)
+def test_the_built_in_families_keep_their_closed_forms_to_the_bit(family, lower, upper):
+    forms = _translation_forms if family == "translation" else _scale_forms
+    normalizer, cdf, quantile, density = forms(lower, upper)
+    d = normalize(TRANSLATION if family == "translation" else SCALE, IntervalConstraint(lower, upper))
+    assert d.normalizer == normalizer
+    for q in BIT_EXACT_LEVELS:
+        assert d.quantile(q) == (lower if q == 0.0 else upper if q == 1.0 else quantile(q))
+    if family == "translation":
+        inside = [lower + t * (upper - lower) for t in BIT_EXACT_LEVELS]
+    else:
+        logs = [math.log(lower) + t * (math.log(upper) - math.log(lower)) for t in BIT_EXACT_LEVELS]
+        inside = [math.exp(min(u, math.log(upper))) for u in logs]
+    ends = [math.nextafter(lower, math.inf), math.nextafter(upper, -math.inf)]
+    for x in [lower, upper, *ends, *(x for x in inside if lower < x < upper)]:
+        assert d.cdf(x) == (0.0 if x <= lower else 1.0 if x >= upper else cdf(x))
+        if math.isfinite(density(x)):
+            assert d.density_at(x) == density(x)
+        else:
+            with pytest.raises(ValueError, match="overflows binary64"):
+                d.density_at(x)
+    for x in (lower - 1.0, 0.5 * lower, upper + 1.0, 2.0 * upper):
+        if not lower <= x <= upper:
+            assert d.cdf(x) == (0.0 if x < lower else 1.0)
+            assert d.density_at(x) == 0.0
 
 
 def test_translation_quantile_midpoint():
@@ -403,6 +486,34 @@ def test_scale_measure_is_rescaling_invariant(a, ratio, k):
     original = haar_measure(SCALE, IntervalConstraint(a, a * ratio))
     rescaled = haar_measure(SCALE, IntervalConstraint(k * a, k * a * ratio))
     assert abs(original - rescaled) <= 1e-10
+
+
+# A group element of each custom law, from one drawn number s in [-2, 2].  Near the edge of
+# a+b+ab's domain p > -1, rounding phi(l, g) in binary64 alone moves a narrow interval's
+# measure by more than 1e-9 of itself, so 1 + g stays at least 0.01 and ends a tenth of a decade apart.
+GROUP_ELEMENTS = {
+    "a*b": lambda s: 10.0**s,
+    "a+b+ab": lambda s: 10.0**s - 1.0,
+    "a*exp(b)": lambda s: s * math.log(10.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(CUSTOM_LAWS))
+@settings(max_examples=100, deadline=None)
+@given(
+    ends=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=2),
+    s=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_custom_measure_is_invariant_under_its_own_group(law, ends, s):
+    compose, identity, _ = CUSTOM_LAWS[law]
+    assume(abs(ends[0] - ends[1]) >= 0.1)
+    family = custom_family(compose, identity)
+    lo, hi = 10.0 ** min(ends), 10.0 ** max(ends)
+    g = GROUP_ELEMENTS[law](s)
+    with deadline(1.0):
+        original = haar_measure(family, IntervalConstraint(lo, hi))
+        moved = haar_measure(family, IntervalConstraint(compose(lo, g), compose(hi, g)))
+    assert abs(moved - original) <= 1e-9 * original
 
 
 @settings(max_examples=30)

@@ -241,6 +241,12 @@ def test_chain_validation():
         parse_scenario('{"kind":"spin_chain","thetas":[0.1, true]}')
 
 
+def test_a_chain_at_its_work_limit_is_admitted():
+    for angles in (1, 32):
+        doc = {"kind": "spin_chain", "thetas": [1.0] * angles, "trials": 100_000}
+        assert scenario_from_dict(doc).params == ((1.0,) * angles, 0, 100_000)
+
+
 HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
 
 
