@@ -121,6 +121,8 @@ def uniform_over_action(action: GroupAction) -> ProbabilityTable:
 
     Transitivity is required: the observed data picks out a single orbit, so
     an action with several orbits does not determine one possibility set.
+    ``action`` must be an action, each row a permutation and act[g∘h] =
+    act[g]∘act[h]; this is not checked here, ``oracle.verify_action`` checks it.
     """
     n_states = len(action.states)
     orbit = {action.act[g][0] for g in action.group.elements()}

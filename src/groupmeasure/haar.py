@@ -33,7 +33,8 @@ _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
 
 # A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, 0 if exact);
-# point(d, q) solves u(x) = u(lower) + q * d.normalizer; affine(a, b): does a*x + b keep d in the family?
+# point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form, or ITP steps on cdf for a custom table);
+# affine(a, b): does a*x + b keep d in the family?
 _Chart = namedtuple("_Chart", "name form weight panel point affine")
 
 
@@ -81,10 +82,6 @@ class IntervalConstraint(Record):
             raise ValueError(f"degenerate interval [{lower}, {upper}]")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
@@ -148,7 +145,7 @@ class NormalizedDensity(Record):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
-        if q == 0.0 or q == 1.0:  # the closed forms round at the ends, the bisection stops short
+        if q == 0.0 or q == 1.0:  # the closed forms round at the ends, the ITP steps stop short
             return hi if q else lo
         return min(max(self.family.chart.point(self, q), lo), hi)  # rounding can step outside the support
 
@@ -232,15 +229,29 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
     return 1.0 / rate
 
 
-def _bisect_point(d: NormalizedDensity, q: float) -> float:
+def _itp_point(d: NormalizedDensity, q: float) -> float:
+    """Root of cdf(x) - q in the table's panel that holds q * normalizer, by ITP steps (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / width, kappa2 = 2): false position, moved
+    kappa1 * (hi - lo)**2 toward the midpoint, then kept within reach - (hi - lo) / 2 of it, where
+    reach starts at the panel width and halves each step.  So the bracket after step j is at most
+    width / 2**j wide, and the _BISECT_WIDTH stop comes at most one step after halving's."""
     i = min(bisect.bisect_right(d.cumulative, q * d.normalizer), len(d.edges) - 1) - 1
     lo, hi = d.edges[i], d.edges[i + 1]
+    y_lo, y_hi = d.cumulative[i] / d.normalizer - q, d.cumulative[i + 1] / d.normalizer - q
+    kappa, reach = 0.2 / (hi - lo), hi - lo
     while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if d.cdf(mid) < q:
-            lo = mid
+        mid, radius, delta = 0.5 * (lo + hi), reach - 0.5 * (hi - lo), kappa * (hi - lo) * (hi - lo)
+        x = (y_hi * lo - y_lo * hi) / (y_hi - y_lo) if y_lo < y_hi else mid
+        x = min(x + delta, mid) if x < mid else max(x - delta, mid)
+        x = min(max(x, mid - radius), mid + radius)
+        if not lo < x < hi:  # the step left the bracket, or no float lies strictly inside it
+            x = mid
+        y = d.cdf(x) - q
+        if y < 0:
+            lo, y_lo = x, y
         else:
-            hi = mid
+            hi, y_hi = x, y
+        reach *= 0.5
     return 0.5 * (lo + hi)
 
 
@@ -274,7 +285,7 @@ def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
 TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0),
                      lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True)
 SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0)
-CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _bisect_point, lambda a, b: False)
+CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False)
 
 
 def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -15,7 +15,7 @@ import math
 from operator import itemgetter, ne
 from typing import Callable, Iterable
 
-from .actions import DieOrientation, all_orientations
+from .actions import DieOrientation, GroupAction, all_orientations
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
 from .record import Record
 
@@ -120,6 +120,33 @@ def _associativity_violations(table) -> int:
         for row in table
         for ab, read in zip(row, through)
         if table[ab] != (composed := read(row))
+    )
+
+
+def verify_action(action: GroupAction) -> CheckReport:
+    """Check that ``act`` is an action: every row permutes the states and act[s∘h] = act[s]∘act[h].
+
+    The residual counts rows that are no permutation plus failing pairs (s, h).  As in
+    ``verify_group_axioms``, s runs over a greedy generating set only: the s that satisfy the
+    identity for every h are closed under ∘, since the group's table is associative, so the
+    generators reach every element.
+    """
+    group, n_states = action.group, len(action.states)
+    rows = [tuple(row) for row in action.act]  # a row given as a list still compares equal to its composite
+    counts = {
+        "permutation": sum(len(set(row)) != n_states for row in rows),
+        "composition": sum(
+            rows[group.table[s][h]] != tuple(map(rows[s].__getitem__, rows[h]))
+            for s in _greedy_generators(group.table)
+            for h in range(group.n)
+        ),
+    }
+    violations = sum(counts.values())
+    return CheckReport(
+        name=f"action[{group.label}]",
+        passed=violations == 0,
+        worst_residual=float(violations),
+        details=",".join(check for check, count in counts.items() if count) or f"{n_states} states",
     )
 
 

@@ -1,5 +1,9 @@
+import bisect
 import cmath
 import math
+import random
+import statistics
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +11,9 @@ from hypothesis import strategies as st
 
 from deadlines import deadline
 from groupmeasure.haar import (
+    CUSTOM,
     IntervalConstraint,
+    NormalizedDensity,
     custom_family,
     haar_measure,
     haar_weight,
@@ -224,7 +230,7 @@ def test_scale_family_beyond_the_binary64_ratio():
         (SCALE, 1e-76, 1.7976931348621712e308),  # ... and its exp overflowed at q = 1
         (TRANSLATION, -10.0, 0.0001),  # lo + 1 * (hi - lo) cancels below hi
         (SCALE, 1e-300, 1e300),  # the difference of logs misses both ends
-        (custom_family(lambda a, b: a + b + a * b, 0.0), 1.0, 4.0),  # bisection stops inside a panel
+        (custom_family(lambda a, b: a + b + a * b, 0.0), 1.0, 4.0),  # the ITP steps stop inside a panel
     ],
     ids=[
         "translation", "scale-low-end", "scale-high-end", "scale-near-the-float-max",
@@ -343,7 +349,9 @@ def test_custom_family_density_cdf_quantile():
     assert d.normalizer == pytest.approx(math.log(4.0), abs=1e-10)
     assert d.density_at(2.0) == pytest.approx(1.0 / (2.0 * math.log(4.0)), abs=1e-9)
     assert d.cdf(2.0) == pytest.approx(0.5, abs=1e-9)
-    assert d.quantile(0.5) == pytest.approx(2.0, abs=1e-8)
+    with deadline(1.0):
+        median = d.quantile(0.5)
+    assert median == pytest.approx(2.0, abs=1e-8)
 
 
 def test_samples_stay_in_support():
@@ -416,7 +424,8 @@ def test_von_mises_narrow_bounds_concentrate():
     eps = 1e-3
     d = von_mises_reduce(1.0, 1.0 + eps)
     assert d.support.lower == pytest.approx(0.5, abs=1e-12)
-    assert d.density_at(0.5 + d.support.width / 2) == pytest.approx(1.0 / d.support.width, rel=1e-9)
+    width = d.support.upper - d.support.lower
+    assert d.density_at(0.5 + width / 2) == pytest.approx(1.0 / width, rel=1e-9)
 
 
 def test_von_mises_wider_bounds():
@@ -564,9 +573,76 @@ def test_custom_cdf_matches_the_oracle_and_quantile_inverts_it(law, ends, fracti
     for u, mass in zip(logs, masses):
         reference = integrate(mass_density, math.log(lo), u, 1e-10) if u > math.log(lo) else 0.0
         assert abs(mass - reference) <= 1e-9
-    # The quantile bisection stops at an absolute width of 1e-12: it never stops
-    # where float spacing exceeds that (from 8192 on), and it resolves no finer
-    # than 1e-12 (ROADMAP numeric core, the quantile stop).
+    # The custom quantile stops once its bracket is at most 1e-12 wide, an absolute
+    # width: it never stops where float spacing exceeds that (from 8192 on), and it
+    # resolves no finer than 1e-12 (ROADMAP numeric core, the quantile stop).
     if hi <= 4096.0 and hi - lo >= 1e-3:
         for x, mass in zip(points, masses):
-            assert abs(d.quantile(mass) - x) <= 1e-9 * (hi - lo)
+            with deadline(1.0):
+                found = d.quantile(mass)
+            assert abs(found - x) <= 1e-9 * (hi - lo)
+
+
+# The closed-form quantile of each custom law: u^-1(u(lo) + q (u(hi) - u(lo))) with its u.
+CUSTOM_QUANTILES = {
+    "a*b": lambda lo, hi, q: lo * (hi / lo) ** q,
+    "a+b+ab": lambda lo, hi, q: (1.0 + lo) * ((1.0 + hi) / (1.0 + lo)) ** q - 1.0,
+    "a*exp(b)": lambda lo, hi, q: lo * (hi / lo) ** q,
+}
+
+
+def _quantile_levels(d, rng):
+    """Random levels, the two next to the ends, and every level at a panel boundary of d's table."""
+    interior = [c / d.normalizer for c in d.cumulative[1:-1]]
+    return [rng.random() for _ in range(20)] + [1e-15, 1.0 - 1e-15] + interior
+
+
+@pytest.mark.parametrize("law", sorted(CUSTOM_QUANTILES))
+def test_a_custom_quantile_reads_few_panels_and_never_many_more_than_halving(law, monkeypatch):
+    compose, identity, _ = CUSTOM_LAWS[law]
+    family = custom_family(compose, identity)
+    calls = []
+    counted = NormalizedDensity.cdf
+
+    def cdf(self, x):
+        calls.append(x)
+        return counted(self, x)
+
+    monkeypatch.setattr(NormalizedDensity, "cdf", cdf)
+    rng = random.Random(17)
+    shares = []
+    for lo, hi in [(1.0, 4.0), (0.5, 2.0), (1.0, 50.0), (0.02, 1.0), (20.0, 1000.0), (0.001, 0.05)]:
+        d = normalize(family, IntervalConstraint(lo, hi))
+        for q in _quantile_levels(d, rng):
+            i = min(bisect.bisect_right(d.cumulative, q * d.normalizer), len(d.edges) - 1) - 1
+            # Halving the panel that holds q down to the 1e-12 stop, and one step more.
+            bound = math.ceil(math.log2((d.edges[i + 1] - d.edges[i]) / 1e-12)) + 1
+            calls.clear()
+            with deadline(1.0):
+                found = d.quantile(q)
+            assert abs(found - CUSTOM_QUANTILES[law](lo, hi, q)) <= 1e-9 * (hi - lo), (lo, hi, q)
+            assert len(calls) <= bound, (lo, hi, q)
+            shares.append(len(calls) / bound)
+    assert statistics.median(shares) <= 1.0 / 3.0
+
+
+# Monotone cdfs on [0, 1] on which false position moves one end by a sliver per step: cdf, root of cdf = q.
+CRAWLING_CDFS = {
+    "x**k": (lambda x, k: x**k, lambda q, k: q ** (1.0 / k)),
+    "1-(1-x)**k": (lambda x, k: 1.0 - (1.0 - x) ** k, lambda q, k: 1.0 - (1.0 - q) ** (1.0 / k)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CRAWLING_CDFS))
+@pytest.mark.parametrize("k", [3, 30, 1000])
+@pytest.mark.parametrize("q", [1e-6, 0.01, 0.5, 0.99])
+def test_the_custom_point_keeps_its_step_bound_where_false_position_crawls(shape, k, q):
+    # Without the projection into the shrinking radius, the steps took up to 362 panels here.
+    cdf, root = CRAWLING_CDFS[shape]
+    calls = []
+    one_panel = SimpleNamespace(edges=(0.0, 1.0), cumulative=(0.0, 1.0), normalizer=1.0,
+                                cdf=lambda x: calls.append(x) or cdf(x, k))
+    with deadline(1.0):
+        found = CUSTOM.point(one_panel, q)
+    assert abs(found - root(q, k)) <= 1e-11
+    assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from deadlines import deadline
 from groupmeasure import oracle
+from groupmeasure.actions import GroupAction, coin_action, die_action
 from groupmeasure.groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_octahedral
 from groupmeasure.haar import IntervalConstraint, normalize, scale_family
 from groupmeasure.oracle import (
@@ -21,6 +22,7 @@ from groupmeasure.oracle import (
     frequency_test,
     integrate,
     symmetric_eigensolver_2x2,
+    verify_action,
     verify_group_axioms,
 )
 from groupmeasure.spin import observable
@@ -214,6 +216,72 @@ def test_axiom_check_refuses_huge_orders():
         object.__setattr__(huge, "n", order)  # simulate an infeasible order
         with pytest.raises(ValueError, match=f"^exhaustive check infeasible at order {order}$"):
             verify_group_axioms(huge)
+
+
+@pytest.mark.parametrize(
+    "action, details",
+    [
+        # Element 1 sends both states to y, so its row is no permutation, and act[1∘1] = act[0]
+        # is not act[1]∘act[1].
+        (GroupAction(make_cyclic(2), ("x", "y"), ((0, 1), (1, 1))), "permutation,composition"),
+        # Every row permutes the states, but element 2 acts as element 1 does.
+        (GroupAction(make_cyclic(3), ("a", "b", "c"), ((0, 1, 2), (1, 2, 0), (1, 2, 0))), "composition"),
+    ],
+    ids=["C2-not-a-permutation", "C3-not-a-homomorphism"],
+)
+def test_a_table_that_is_no_action_fails_the_action_check(action, details):
+    report = verify_action(action)
+    assert (report.passed, report.worst_residual, report.details) == (False, 2.0, details)
+
+
+def brute_force_is_action(action: GroupAction) -> bool:
+    """Every row a permutation and act[g∘h] = act[g]∘act[h] for every pair, from the definitions."""
+    act, n_states = action.act, len(action.states)
+    return all(sorted(row) == list(range(n_states)) for row in act) and all(
+        act[action.group.compose(g, h)][x] == act[g][act[h][x]]
+        for g in action.group.elements()
+        for h in action.group.elements()
+        for x in range(n_states)
+    )
+
+
+def regular_action(g: FiniteGroup) -> GroupAction:
+    """g acting on itself by left multiplication: act[a][b] = a∘b."""
+    return GroupAction(g, tuple(map(str, g.elements())), g.table)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        coin_action(),
+        GroupAction(make_cyclic(2), ["heads", "tails"], [[0, 1], [1, 0]]),  # rows given as lists
+        die_action(),
+        *(regular_action(g) for g in SMALL_GROUPS + MEDIUM_GROUPS),
+    ],
+    ids=lambda action: action.group.label,
+)
+def test_the_built_actions_pass_the_action_check(action):
+    report = verify_action(action)
+    assert brute_force_is_action(action)
+    assert report.line() == f"action[{action.group.label}] PASS residual=0 ({len(action.states)} states)"
+
+
+@st.composite
+def corrupted_regular_actions(draw):
+    """A medium group's regular action with up to 3 entries changed outside the identity row."""
+    g = draw(st.sampled_from(MEDIUM_GROUPS))
+    rows = [list(row) for row in g.table]
+    index = st.integers(0, g.n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(index.filter(lambda a: a != g.identity))
+        rows[a][draw(index)] = draw(index)
+    return GroupAction(g, tuple(map(str, g.elements())), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_regular_actions())
+def test_the_generator_action_check_agrees_with_every_pair(action):
+    assert verify_action(action).passed == brute_force_is_action(action)
 
 
 def test_die_orientation_enumeration():
