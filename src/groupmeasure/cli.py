@@ -8,6 +8,7 @@ All numeric output uses '.' as the decimal separator regardless of locale.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,51 +83,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """Subcommands of the worked examples set ``kind``; each option's dest is its scenario key."""
+    """One subcommand per entry of ``scenarios.KINDS``, which sets ``kind``; each option's dest is its key."""
     parser = argparse.ArgumentParser(
         prog="groupmeasure",
         description="Probabilities from transformation-group invariance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coin", help="two-sided coin at rest: equal counting measure")
-    p.set_defaults(kind="coin")
-    _add_common(p)
-
-    p = sub.add_parser("die", help="die orientations: joint, marginal, conditional tables")
-    p.set_defaults(kind="die")
-    p.add_argument("--query", choices=scenarios.DIE_QUERIES, default="joint")
-    p.add_argument("--north", type=int, default=None, help="north face for conditional_north")
-    _add_common(p)
-
-    p = sub.add_parser("prior", help="invariant density on an observation interval")
-    p.set_defaults(kind="interval")
-    p.add_argument("--family", choices=scenarios.FAMILIES, required=True)
-    p.add_argument("--lower", type=float, required=True)
-    p.add_argument("--upper", type=float, required=True)
-    p.add_argument("--at", type=float, default=None, help="evaluate density and cdf here")
-    p.add_argument("--quantile", type=float, default=None, help="quantile level in [0, 1]")
-    _add_common(p)
-
-    p = sub.add_parser("von-mises", help="water/wine mixture fraction density")
-    p.set_defaults(kind="von_mises")
-    p.add_argument("--ratio-lower", type=float, required=True)
-    p.add_argument("--ratio-upper", type=float, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("spin", help="spin-1/2 measurement probabilities at angle theta")
-    p.set_defaults(kind="spin")
-    p.add_argument("--theta", type=float, required=True, help="angle from +z in radians")
-    p.add_argument("--state", type=float, nargs=2, default=None, metavar=("UP", "DOWN"),
-                   help="real prepared amplitudes (default 1 0)")
-    _add_common(p)
-
-    p = sub.add_parser("chain", help="sequential spin measurements")
-    p.set_defaults(kind="spin_chain")
-    p.add_argument("--thetas", required=True, help="comma-separated angles in radians")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    _add_common(p)
+    for kind, spec in scenarios.KINDS.items():
+        p = sub.add_parser(spec.command, help=spec.help)
+        # argparse up to 3.13.0 reads "-1e-3" or "-0.5,1" as an option; take them as values, as later releases do.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p.set_defaults(kind=kind)
+        for key, keywords in spec.options.items():
+            p.add_argument("--" + key.replace("_", "-"), **keywords)
+        _add_common(p)
 
     p = sub.add_parser("scenario", help="run a scenario document")
     scenario_sub = p.add_subparsers(dest="scenario_command", required=True)
@@ -148,8 +119,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             raise ScenarioError(f"cannot read scenario file: {err}") from err
         return scenarios.parse_scenario(text)
     doc: dict[str, Any] = {"kind": args.kind}
-    keys, _, _ = scenarios.KINDS[args.kind]
-    for key in keys:
+    for key in scenarios.KINDS[args.kind].options:
         value = getattr(args, key)
         if value is not None:
             doc[key] = _angles(value) if key == "thetas" else value

@@ -15,7 +15,7 @@ import math
 from operator import itemgetter, ne
 from typing import Callable, Iterable
 
-from .actions import DieOrientation, GroupAction, all_orientations
+from .actions import DieOrientation, GroupAction, all_orientations, coin_action, die_action
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
 from .record import Record
 
@@ -61,12 +61,18 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
     }
     if not all(_associates_through(table, s) for s in _greedy_generators(table)):
         counts["associativity"] = _associativity_violations(table)
+    return _count_report(f"group-axioms[{g.label}]", counts, f"order {n}")
+
+
+def _count_report(name: str, counts: dict[str, int], fallback: str) -> CheckReport:
+    """Passed iff no check counts a violation; the residual is their total, and the details name the checks
+    that failed, or read ``fallback`` when none did."""
     violations = sum(counts.values())
     return CheckReport(
-        name=f"group-axioms[{g.label}]",
+        name=name,
         passed=violations == 0,
         worst_residual=float(violations),
-        details=",".join(axiom for axiom, count in counts.items() if count) or f"order {n}",
+        details=",".join(check for check, count in counts.items() if count) or fallback,
     )
 
 
@@ -141,13 +147,7 @@ def verify_action(action: GroupAction) -> CheckReport:
             for h in range(group.n)
         ),
     }
-    violations = sum(counts.values())
-    return CheckReport(
-        name=f"action[{group.label}]",
-        passed=violations == 0,
-        worst_residual=float(violations),
-        details=",".join(check for check, count in counts.items() if count) or f"{n_states} states",
-    )
+    return _count_report(f"action[{group.label}]", counts, f"{n_states} states")
 
 
 def enumerate_die_orientations() -> list[DieOrientation]:
@@ -394,4 +394,5 @@ def selftest() -> list[CheckReport]:
     table = spin.transition_table(spin.SPIN_UP, [math.pi / 2])
     chain = lambda i: spin.sequential_chain(table, 1_000 + i)[-1].eigenvalue
     reports.append(frequency_test(chain, lambda v: v == 1, 0.5, 20_000, name="spin-frequency"))
+    reports += [verify_action(coin_action()), verify_action(die_action())]
     return reports

@@ -12,7 +12,7 @@ outcome probabilities and post-states for the spin kinds.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections import namedtuple
 from typing import TYPE_CHECKING, Any
 
 from .actions import DieOrientation, all_orientations, coin_action, die_action, uniform_over_action
@@ -45,21 +45,18 @@ class Scenario(Record):
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple[Any, ...]) -> None:
-        keys, check, _ = _spec(kind)
-        if len(params) != len(keys):
-            raise ScenarioError(f"a {kind} scenario has {len(keys)} params, got {len(params)}")
+        spec = _spec(kind)
+        if len(params) != len(spec.options):
+            raise ScenarioError(f"a {kind} scenario has {len(spec.options)} params, got {len(params)}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", check(*map(_plain, params)))
-
-    def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON form: kind first, then the set keys in order."""
-        keys, _, _ = KINDS[self.kind]
-        return {"kind": self.kind, **{k: _plain(v) for k, v in zip(keys, self.params) if v is not None}}
+        object.__setattr__(self, "params", spec.check(*map(_plain, params)))
 
     def canonical_json(self) -> str:
+        """Canonical JSON form: kind first, then the set keys in order."""
         import json
 
-        return json.dumps(self.canonical_dict())
+        keys = KINDS[self.kind].options
+        return json.dumps({"kind": self.kind, **{k: _plain(v) for k, v in zip(keys, self.params) if v is not None}})
 
 
 def _plain(value: Any) -> Any:
@@ -103,7 +100,7 @@ def _amplitude(value: Any, key: str) -> complex:
 
 
 def _spec(kind: Any) -> _KindSpec:
-    """The (keys, check, run) entry of ``kind`` in KINDS."""
+    """The entry of ``kind`` in KINDS."""
     spec = KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
@@ -117,7 +114,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     if "kind" not in doc:
         raise ScenarioError("missing required key 'kind'")
-    keys, _, _ = _spec(doc["kind"])
+    keys = _spec(doc["kind"]).options
     unknown = set(doc) - set(keys) - {"kind"}
     if unknown:
         raise ScenarioError(f"unknown keys: {', '.join(sorted(repr(k) for k in unknown))}")
@@ -140,9 +137,8 @@ def parse_scenario(text: str) -> Scenario:
 
 def run(s: Scenario) -> Report:
     """Execute a scenario deterministically; a library's ValueError becomes a ScenarioError naming the kind."""
-    _, _, runner = KINDS[s.kind]
     try:
-        return runner(*s.params)
+        return KINDS[s.kind].run(*s.params)
     except ValueError as err:
         raise ScenarioError(f"{s.kind} scenario failed: {err}") from err
 
@@ -329,16 +325,33 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
     )
 
 
-# Every scenario kind, declared once, as (keys, check, run).  ``keys`` are in canonical order.  ``check``
-# takes one value per key in its JSON form, ``None`` for an absent one, refuses any that breaks a key rule and
-# returns the canonical values, whose JSON form it accepts in turn; ``run`` takes those.  Both name their parameters after the keys.
-# Scenario(), the unknown-key check, the canonical form, run() and the CLI's argument mapping read this table.
-_KindSpec = tuple[tuple[str, ...], Callable[..., tuple[Any, ...]], Callable[..., Report]]
+# One scenario kind, declared once.  ``options`` maps each key, in canonical order, to the argparse keywords of
+# its option ``--key-with-dashes`` on the subcommand ``command``.  ``check`` takes one value per key in its JSON
+# form, ``None`` for an absent one, refuses any that breaks a key rule and returns the canonical values, whose
+# JSON form it accepts in turn; ``run`` takes those.  Both name their parameters after the keys.
+_KindSpec = namedtuple("_KindSpec", "command help options check run")
+
 KINDS: dict[str, _KindSpec] = {
-    "coin": ((), lambda: (), _run_coin),
-    "die": (("query", "north"), _check_die, _run_die),
-    "interval": (("family", "lower", "upper", "at", "quantile"), _check_interval, _run_interval),
-    "von_mises": (("ratio_lower", "ratio_upper"), _check_von_mises, _run_von_mises),
-    "spin": (("theta", "state"), _check_spin, _run_spin),
-    "spin_chain": (("thetas", "seed", "trials"), _check_spin_chain, _run_spin_chain),
+    "coin": _KindSpec("coin", "two-sided coin at rest: equal counting measure", {}, lambda: (), _run_coin),
+    "die": _KindSpec("die", "die orientations: joint, marginal, conditional tables", {
+        "query": dict(choices=DIE_QUERIES, default="joint"),
+        "north": dict(type=int, help="north face for conditional_north"),
+    }, _check_die, _run_die),
+    "interval": _KindSpec("prior", "invariant density on an observation interval", {
+        "family": dict(choices=FAMILIES, required=True),
+        "lower": dict(type=float, required=True), "upper": dict(type=float, required=True),
+        "at": dict(type=float, help="evaluate density and cdf here"),
+        "quantile": dict(type=float, help="quantile level in [0, 1]"),
+    }, _check_interval, _run_interval),
+    "von_mises": _KindSpec("von-mises", "water/wine mixture fraction density", {
+        "ratio_lower": dict(type=float, required=True), "ratio_upper": dict(type=float, required=True),
+    }, _check_von_mises, _run_von_mises),
+    "spin": _KindSpec("spin", "spin-1/2 measurement probabilities at angle theta", {
+        "theta": dict(type=float, required=True, help="angle from +z in radians"),
+        "state": dict(type=float, nargs=2, metavar=("UP", "DOWN"), help="real prepared amplitudes (default 1 0)"),
+    }, _check_spin, _run_spin),
+    "spin_chain": _KindSpec("chain", "sequential spin measurements", {
+        "thetas": dict(required=True, help="comma-separated angles in radians"),
+        "seed": dict(type=int), "trials": dict(type=int),
+    }, _check_spin_chain, _run_spin_chain),
 }

@@ -224,9 +224,73 @@ def test_each_example_subcommand_takes_exactly_its_kinds_keys():
             continue
         kinds.add(kind)
         dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "format", "out"}
-        keys, _, _ = KINDS[kind]
-        assert dests == set(keys), name
+        assert dests == set(KINDS[kind].options), name
+        assert name == KINDS[kind].command
     assert kinds == set(KINDS)
+
+
+# A negative value in exponent form, or a list that starts with one, next to a form read alike before
+# and after the fix: --opt=value, or plain decimals for the two values of --state.
+NEGATIVE_VALUES = {
+    "chain": (["chain", "--thetas", "-0.5,1"], ["chain", "--thetas=-0.5,1"]),
+    "prior": (["prior", "--family", "translation", "--lower", "-1e-3", "--upper", "2"],
+              ["prior", "--family", "translation", "--lower=-1e-3", "--upper", "2"]),
+    "spin-theta": (["spin", "--theta", "-2e-1"], ["spin", "--theta=-2e-1"]),
+    "spin-state": (["spin", "--theta", "1", "--state", "-6e-1", "8e-1"],
+                   ["spin", "--theta", "1", "--state", "-0.6", "0.8"]),
+}
+
+
+@pytest.mark.parametrize("argv, reference", NEGATIVE_VALUES.values(), ids=NEGATIVE_VALUES.keys())
+def test_a_negative_value_in_any_number_form_is_read_as_a_value(capsys, argv, reference):
+    expected = run_cli(capsys, *reference)
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv) == expected
+
+
+REQUIRED_OPTIONS = {
+    "prior": ["--family", "scale", "--lower", "1", "--upper", "2"],
+    "von-mises": ["--ratio-lower", "1", "--ratio-upper", "2"],
+    "spin": ["--theta", "1"],
+    "chain": ["--thetas", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, i", [(command, i) for command, options in REQUIRED_OPTIONS.items() for i in range(0, len(options), 2)]
+)
+def test_leaving_out_a_required_option_exits_2_and_names_it(capsys, command, i):
+    options = REQUIRED_OPTIONS[command]
+    assert run_cli(capsys, command, *options)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, *options[:i], *options[i + 2:]])
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {options[i]}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["die", "--query", "marginal"], "--query"),
+     (["prior", "--family", "log", "--lower", "1", "--upper", "2"], "--family")],
+    ids=["query", "family"],
+)
+def test_a_value_outside_its_choices_exits_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid choice: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "short, full",
+    [(["die"], ["die", "--query", "joint"]),
+     (["chain", "--thetas", "1"], ["chain", "--thetas", "1", "--seed", "0", "--trials", "1"])],
+    ids=["die", "chain"],
+)
+def test_a_left_out_option_takes_its_default(capsys, short, full):
+    expected = run_cli(capsys, *full)
+    assert expected[0] == 0
+    assert run_cli(capsys, *short) == expected
 
 
 def test_render_csv_outcomes():

@@ -47,8 +47,7 @@ def renders_or_refuses(doc):
     does, in the same words.  A document that parses must come back from its params, and from
     its canonical form, as the same scenario, with the same hash.
     """
-    keys, _, _ = KINDS[doc["kind"]]
-    values = tuple(map(doc.get, keys))
+    values = tuple(map(doc.get, KINDS[doc["kind"]].options))
     try:
         scenario = scenario_from_dict(doc)
     except ScenarioError as parsed:
@@ -148,9 +147,8 @@ VALUES = {
 @st.composite
 def other_docs(draw):
     kind = draw(st.sampled_from(("coin", "die", "von_mises", "spin")))
-    keys, _, _ = KINDS[kind]
     doc = {"kind": kind}
-    for key in keys:
+    for key in KINDS[kind].options:
         if draw(st.integers(0, 7)):  # absent one time in eight, junk one time in four
             doc[key] = draw(junk if draw(st.integers(0, 3)) == 0 else VALUES[key])
     return doc

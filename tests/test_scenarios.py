@@ -192,17 +192,18 @@ MINIMAL = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_parse_and_run_agree_with_the_keys_by_position(kind):
     # params, keys and the parameters of the checker and of the runner are tied together by position alone.
-    keys, check, runner = KINDS[kind]
-    assert tuple(inspect.signature(check).parameters) == keys
-    assert tuple(inspect.signature(runner).parameters) == keys
-    params = check(*map(MINIMAL[kind].get, keys))
+    spec = KINDS[kind]
+    keys = tuple(spec.options)
+    assert tuple(inspect.signature(spec.check).parameters) == keys
+    assert tuple(inspect.signature(spec.run).parameters) == keys
+    params = spec.check(*map(MINIMAL[kind].get, keys))
     assert isinstance(params, tuple)
     assert len(params) == len(keys)
     assert Scenario(kind, params).params == params
     assert run(Scenario(kind, params)).kind == kind
 
 
-@pytest.mark.parametrize("kind, key", [(kind, key) for kind, (keys, _, _) in KINDS.items() for key in keys])
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, spec in KINDS.items() for key in spec.options])
 def test_a_null_value_is_refused_by_name(kind, key):
     # A Scenario reads None as an absent key, so parsing must not let a JSON null through as one.
     with pytest.raises(ScenarioError, match=f"^key {key!r} must not be null$"):
@@ -284,8 +285,7 @@ CANONICAL = {
 def test_canonical_form_round_trips(doc):
     canonical = CANONICAL[doc]
     first = parse_scenario(doc)
-    keys, _, _ = KINDS[first.kind]
-    assert len(first.params) == len(keys)
+    assert len(first.params) == len(KINDS[first.kind].options)
     assert first.canonical_json() == canonical
     second = parse_scenario(canonical)
     assert first == second
