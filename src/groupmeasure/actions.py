@@ -72,7 +72,13 @@ def all_orientations() -> tuple[DieOrientation, ...]:
 
 
 class GroupAction(Record):
-    """A group acting on an ordered list of state labels; act[g][s] is a state index."""
+    """A group acting on an ordered list of state labels; act[g][s] is a state index.
+
+    The constructor checks the table's shape, that each entry is a member of the set of state
+    indices 0..len(states)-1, and that the identity fixes every state.  A negative or too large
+    int, ``nan`` and a str are refused by name; a float or bool equal to an index, such as ``1.0``
+    or ``True``, is a member and is accepted.
+    """
 
     __slots__ = ("group", "states", "act")
 
@@ -82,9 +88,12 @@ class GroupAction(Record):
         if len(act) != group.n:
             raise ValueError("action table must have one row per group element")
         n_states = len(states)
-        if (any(len(row) != n_states for row in act)
-                or min(map(min, act)) < 0 or max(map(max, act)) >= n_states):
+        if any(len(row) != n_states for row in act):
             raise ValueError("action table rows must map every state to a valid state")
+        ids = set(range(n_states))
+        if not all(map(ids.issuperset, act)):
+            entry = next(x for row in act for x in row if x not in ids)
+            raise ValueError(f"action table entry {entry!r} outside 0..{n_states - 1}")
         e = group.identity
         if any(act[e][s] != s for s in range(n_states)):
             raise ValueError("identity element must fix every state")

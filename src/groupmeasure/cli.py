@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -23,8 +22,7 @@ def _fmt_real(x: float) -> str:
 
 
 def _json_value(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
+    """A float at 12 significant digits; any other value as it is, for ``json.dumps`` to write."""
     if isinstance(value, float):
         return float(_fmt_real(value))
     return value
@@ -54,7 +52,8 @@ def render(report: Report, fmt: str = "table") -> str:
         doc.update((key, _json_value(value)) for key, value in report.summary)
         if rows:
             doc[name] = [{col: _json_value(v) for col, v in zip(columns, row)} for row in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        # The one value JSON cannot hold, an exact rational Fraction, is written as its "p/q" string.
+        return json.dumps(doc, indent=2, default=str) + "\n"
 
     if fmt == "csv":
         if not rows:
@@ -87,11 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupmeasure",
         description="Probabilities from transformation-group invariance.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for kind, spec in scenarios.KINDS.items():
-        p = sub.add_parser(spec.command, help=spec.help)
+        p = sub.add_parser(spec.command, help=spec.help, allow_abbrev=False)
         # argparse up to 3.13.0 reads "-1e-3" or "-0.5,1" as an option; take them as values, as later releases do.
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.set_defaults(kind=kind)
@@ -99,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), **keywords)
         _add_common(p)
 
-    p = sub.add_parser("scenario", help="run a scenario document")
+    p = sub.add_parser("scenario", help="run a scenario document", allow_abbrev=False)
     scenario_sub = p.add_subparsers(dest="scenario_command", required=True)
-    p_run = scenario_sub.add_parser("run", help="run a scenario file")
+    p_run = scenario_sub.add_parser("run", help="run a scenario file", allow_abbrev=False)
     p_run.add_argument("file", type=Path)
     _add_common(p_run)
 
-    p = sub.add_parser("selftest", help="run the oracle verification suite")
+    p = sub.add_parser("selftest", help="run the oracle verification suite", allow_abbrev=False)
     p.add_argument("--out", type=Path, default=None, help="write output to a file")
 
     return parser

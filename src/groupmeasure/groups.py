@@ -19,7 +19,10 @@ class FiniteGroup(Record):
 
     The order ``n`` is read from the table.  The constructor checks the table's shape and
     the range of its entries and of ``identity``; ``oracle.verify_group_axioms`` checks
-    whether the table is a group.
+    whether the table is a group.  An entry is in range when it is a member of the set of
+    ids 0..n-1, so a negative or too large int, ``nan`` and a str are refused by name.  A
+    float or bool equal to an id, such as ``1.0`` or ``True``, is a member and is accepted;
+    ``identity`` must be an int.
     """
 
     __slots__ = ("label", "n", "table", "identity")
@@ -30,9 +33,10 @@ class FiniteGroup(Record):
             raise ValueError(f"group order must be positive, got {n}")
         if any(len(row) != n for row in table):
             raise ValueError(f"{label}: composition table must be {n}x{n}")
-        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
-            entry = next(x for row in table for x in row if not 0 <= x < n)
-            raise ValueError(f"{label}: table entry {entry} outside 0..{n - 1}")
+        ids = set(range(n))
+        if not all(map(ids.issuperset, table)):
+            entry = next(x for row in table for x in row if x not in ids)
+            raise ValueError(f"{label}: table entry {entry!r} outside 0..{n - 1}")
         if isinstance(identity, bool) or not isinstance(identity, int) or not 0 <= identity < n:
             raise ValueError(f"{label}: identity {identity!r} outside 0..{n - 1}")
         object.__setattr__(self, "label", label)

@@ -1,11 +1,11 @@
 """Exact-rational probability tables: marginalization, conditioning, factorization.
 
-Probabilities are ``fractions.Fraction`` values (or ints) at the API.  Each
-operation reads a table's probabilities once, as integer numerators over
-their common denominator, and does every sum, quotient and comparison on
-those ints; it builds a ``Fraction`` only for a value it returns, once per
-distinct value.  The results are bit-exact; no floating point enters this
-module.
+Probabilities are ``fractions.Fraction`` values (or ints) at the API.  A table
+computes its integer form once, when it is built: the probabilities as integer
+numerators over their least common denominator.  Each operation reads that
+form and does every sum, quotient and comparison on those ints; it builds a
+``Fraction`` only for a value it returns, once per distinct value.  The
+results are bit-exact; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ from typing import Callable, Mapping, Sequence
 from .record import Record
 
 
-def _numerators(outcomes: Sequence[tuple[str, Fraction]]) -> tuple[list[int], int]:
-    """The probabilities as numerators over their least common denominator, and that denominator."""
-    denominator = lcm(*[p.denominator for _, p in outcomes])
-    return [p.numerator * (denominator // p.denominator) for _, p in outcomes], denominator
-
-
 class ProbabilityTable(Record):
-    """Ordered (label, probability) outcomes; probabilities are ints or Fractions and sum to exactly 1."""
+    """Ordered (label, probability) outcomes; probabilities are ints or Fractions and sum to exactly 1.
 
-    __slots__ = ("outcomes",)
+    ``denominator`` is the least common denominator of the probabilities, and ``numerators[i]`` is
+    the i-th probability times it.  The constructor computes both from ``outcomes``, so they add
+    nothing to what a table equals, hashes or sorts as.
+    """
+
+    __slots__ = ("outcomes", "numerators", "denominator")
 
     def __init__(self, outcomes: tuple[tuple[str, Fraction], ...]) -> None:
         if not outcomes:
@@ -40,11 +39,14 @@ class ProbabilityTable(Record):
                 raise ValueError(f"probability {p!r} for outcome {label!r} is not an int or a Fraction")
             if p.numerator < 0:
                 raise ValueError(f"negative probability {p} for outcome {label!r}")
-        numerators, denominator = _numerators(outcomes)
+        denominator = lcm(*[p.denominator for _, p in outcomes])
+        numerators = tuple([p.numerator * (denominator // p.denominator) for _, p in outcomes])
         total = sum(numerators)
         if total != denominator:
             raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
@@ -65,7 +67,7 @@ def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     return ProbabilityTable(tuple((label, share) for label in labels))
 
 
-def _over(labels: list[str], numerators: list[int], denominator: int) -> ProbabilityTable:
+def _over(labels: Sequence[str], numerators: Sequence[int], denominator: int) -> ProbabilityTable:
     """The table of numerator/denominator per label, with one Fraction per distinct numerator."""
     values = {n: Fraction(n, denominator) for n in set(numerators)}
     return ProbabilityTable(tuple(zip(labels, map(values.__getitem__, numerators))))
@@ -76,27 +78,26 @@ def marginalize(t: ProbabilityTable, projection: Mapping[str, str]) -> Probabili
 
     Coarse labels keep first-appearance order so output is deterministic.
     """
-    numerators, denominator = _numerators(t.outcomes)
     sums: dict[str, int] = {}
-    for (label, _), n in zip(t.outcomes, numerators):
+    for (label, _), n in zip(t.outcomes, t.numerators):
         if label not in projection:
             raise ValueError(f"projection undefined on outcome label {label!r}")
         coarse = projection[label]
         sums[coarse] = sums.get(coarse, 0) + n
-    return _over(list(sums), list(sums.values()), denominator)
+    return _over(list(sums), list(sums.values()), t.denominator)
 
 
 def condition(t: ProbabilityTable, predicate: Callable[[str], bool]) -> ProbabilityTable:
     """Drop outcomes failing ``predicate`` and renormalize exactly."""
-    kept = [(label, p) for label, p in t.outcomes if predicate(label)]
+    kept = [(label, n) for (label, _), n in zip(t.outcomes, t.numerators) if predicate(label)]
     if not kept:
         raise ValueError("conditioning selects no outcomes")
-    # Over the kept outcomes' common denominator, p / total is numerator / sum of numerators.
-    numerators, _ = _numerators(kept)
+    # Over the table's denominator, p / total is numerator / sum of the kept numerators.
+    labels, numerators = zip(*kept)
     total = sum(numerators)
     if total == 0:
         raise ValueError("conditioning selects only zero-probability outcomes")
-    return _over([label for label, _ in kept], numerators, total)
+    return _over(labels, numerators, total)
 
 
 def bayes_factorization_check(
@@ -111,17 +112,16 @@ def bayes_factorization_check(
     part indexes ``marginal`` and ``conditionals``, the fine part indexes the
     selected conditional table.  Returns 0 iff the factorization is exact.
     """
-    joint_numerators, a = _numerators(joint.outcomes)
-    marginal_numerators, b = _numerators(marginal.outcomes)
-    marginal_of = dict(zip(marginal.labels(), marginal_numerators))
-    conditional_of = {}
-    for coarse, table in conditionals.items():
-        numerators, c = _numerators(table.outcomes)
-        conditional_of[coarse] = dict(zip(table.labels(), numerators)), c
+    a, b = joint.denominator, marginal.denominator
+    marginal_of = dict(zip(marginal.labels(), marginal.numerators))
+    conditional_of = {
+        coarse: (dict(zip(table.labels(), table.numerators)), table.denominator)
+        for coarse, table in conditionals.items()
+    }
     # With joint x/a, marginal y/b and conditional z/c, the residual is |x*b*c - y*z*a| / (a*b*c);
     # residuals are compared by cross-multiplying, and the largest is the one Fraction built.
     worst, worst_denominator = 0, 1
-    for (label, _), x in zip(joint.outcomes, joint_numerators):
+    for (label, _), x in zip(joint.outcomes, joint.numerators):
         coarse, fine = split(label)
         if coarse not in marginal_of:
             raise ValueError(f"coarse label {coarse!r} missing from marginal table")

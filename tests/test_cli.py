@@ -281,6 +281,25 @@ def test_a_value_outside_its_choices_exits_2(capsys, argv, option):
     assert f"argument {option}: invalid choice: " in capsys.readouterr().err
 
 
+ABBREVIATIONS = {
+    "prior": (["prior", "--fam", "scale", "--low", "1", "--up", "2"],
+              "the following arguments are required: --family, --lower, --upper\n"),
+    "chain": (["chain", "--thetas", "1", "--t", "3"], "unrecognized arguments: --t 3\n"),
+    "die": (["die", "--q", "marginal_up"], "unrecognized arguments: --q marginal_up\n"),
+    "scenario-run": (["scenario", "run", "missing.json", "--form", "json"], "unrecognized arguments: --form json\n"),
+}
+
+
+@pytest.mark.parametrize("argv, words", ABBREVIATIONS.values(), ids=ABBREVIATIONS.keys())
+def test_an_abbreviated_option_exits_2_and_names_the_option(capsys, argv, words):
+    # A prefix used to stand for the one option it starts, so a later option sharing the prefix
+    # would have turned a working command line into an "ambiguous option" error.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert words in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "short, full",
     [(["die"], ["die", "--query", "joint"]),
@@ -323,10 +342,12 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         assert result.stdout.strip() == "False", module
 
 
-# Each command and the one kind module it may load: haar for the densities, spin for the spin kinds.
+# Each command and the kind modules it may load: actions, tables and fractions for the finite kinds,
+# haar for the densities, spin for the spin kinds.
+FINITE_MODULES = ["fractions", "groupmeasure.actions", "groupmeasure.tables"]
 COMMAND_MODULES = {
-    "coin": (["coin"], []),
-    "die": (["die", "--query", "marginal_up"], []),
+    "coin": (["coin"], FINITE_MODULES),
+    "die": (["die", "--query", "marginal_up"], FINITE_MODULES),
     "prior": (["prior", "--family", "scale", "--lower", "1", "--upper", "4"], ["groupmeasure.haar"]),
     "von-mises": (["von-mises", "--ratio-lower", "1", "--ratio-upper", "2"], ["groupmeasure.haar"]),
     "spin": (["spin", "--theta", "1.0", "--state", "0.6", "0.8"], ["groupmeasure.spin"]),
@@ -338,7 +359,7 @@ COMMAND_MODULES = {
 def test_each_command_imports_only_its_own_kind_module(argv, kind_modules):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    watched = ("dataclasses", "inspect", "groupmeasure.haar", "groupmeasure.spin")
+    watched = ("dataclasses", "inspect", *FINITE_MODULES, "groupmeasure.haar", "groupmeasure.spin")
     code = (
         f"import sys\nfrom groupmeasure import cli\nassert cli.main({argv!r}) == 0\n"
         f"print(sorted(m for m in {watched!r} if m in sys.modules))"

@@ -244,13 +244,43 @@ def test_an_entry_out_of_range_is_refused_by_name(bad, first):
 
 
 @pytest.mark.parametrize(
-    "act",
-    [((0, 1), (1, 2)), ((0, 1), (-1, 0)), ((0, 1), (1,)), ((0, 1), (1, 0, 0))],
+    "act, words",
+    [
+        (((0, 1), (1, 2)), r"action table entry 2 outside 0\.\.1"),
+        (((0, 1), (-1, 0)), r"action table entry -1 outside 0\.\.1"),
+        (((0, 1), (1,)), "action table rows must map every state to a valid state"),
+        (((0, 1), (1, 0, 0)), "action table rows must map every state to a valid state"),
+    ],
     ids=["state_too_large", "state_negative", "row_too_short", "row_too_long"],
 )
-def test_an_action_to_a_state_out_of_range_is_refused(act):
-    with pytest.raises(ValueError, match="^action table rows must map every state to a valid state$"):
+def test_an_action_to_a_state_out_of_range_is_refused(act, words):
+    with pytest.raises(ValueError, match=f"^{words}$"):
         GroupAction(make_cyclic(2), ("x", "y"), act)
+
+
+NOT_AN_ID = {"nan": float("nan"), "str": "a", "digit_str": "1", "none": None}
+
+
+@pytest.mark.parametrize("entry", NOT_AN_ID.values(), ids=NOT_AN_ID.keys())
+def test_a_group_entry_that_is_not_an_id_is_refused_by_name(entry):
+    # nan used to pass the range check and fail later in the oracle with a bare TypeError;
+    # a str or None failed at once with a bare TypeError from the range check itself.
+    with pytest.raises(ValueError, match=rf"^t: table entry {re.escape(repr(entry))} outside 0\.\.1$"):
+        FiniteGroup("t", ((0, entry), (1, 0)), 0)
+
+
+@pytest.mark.parametrize("entry", NOT_AN_ID.values(), ids=NOT_AN_ID.keys())
+def test_an_action_entry_that_is_not_a_state_is_refused_by_name(entry):
+    # nan used to be accepted, and uniform_over_action then gave x and y 1/2 each.
+    with pytest.raises(ValueError, match=rf"^action table entry {re.escape(repr(entry))} outside 0\.\.1$"):
+        GroupAction(make_cyclic(2), ("x", "y"), ((0, 1), (entry, 0)))
+
+
+@pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+def test_an_entry_equal_to_an_id_is_accepted(one):
+    # A member of the set of ids passes the range check whatever its type; no per-entry type check is made.
+    assert FiniteGroup("t", ((0, one), (one, 0)), 0).table == ((0, 1), (1, 0))
+    assert GroupAction(make_cyclic(2), ("x", "y"), ((0, 1), (one, 0))).act == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("identity", [5, -1, 2, 1.0, True])

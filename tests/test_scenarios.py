@@ -218,7 +218,8 @@ def test_parsing_any_kind_imports_no_kind_module():
     code = (
         "import sys\nfrom groupmeasure.scenarios import scenario_from_dict\n"
         f"for doc in {docs!r}: scenario_from_dict(doc)\n"
-        "print(sorted(m for m in ('groupmeasure.haar', 'groupmeasure.spin') if m in sys.modules))"
+        "watched = ('fractions', 'groupmeasure.actions', 'groupmeasure.tables', 'groupmeasure.haar', 'groupmeasure.spin')\n"
+        "print(sorted(m for m in watched if m in sys.modules))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -276,11 +277,11 @@ def assert_same(got, want):
 
 
 @st.composite
-def rational_tables(draw):
+def rational_tables(draw, faults=True):
     """Outcomes "c<i>|f<j>" with gaps between sorted cut points a/d of [0, 1] as probabilities, d <= 10**6.
 
-    A repeated cut point gives a zero entry.  Some tables are then broken: one probability raised
-    (sum != 1), one made negative with the sum kept, or one label repeated."""
+    A repeated cut point gives a zero entry.  With ``faults``, some tables are then broken: one probability
+    raised (sum != 1), one made negative with the sum kept, or one label repeated."""
     n = draw(st.integers(1, 40))
     denominators = st.integers(1, 10**6)
     cuts = [Fraction(0)]
@@ -294,7 +295,7 @@ def rational_tables(draw):
     fine = draw(st.integers(1, 6))
     labels = [f"c{i // fine}|f{i % fine}" for i in range(n)]
     probabilities = [b - a for a, b in zip(cuts, cuts[1:])]
-    fault = draw(st.sampled_from(["none"] * 6 + ["sum", "negative", "duplicate"]))
+    fault = draw(st.sampled_from(["none"] * 6 + ["sum", "negative", "duplicate"])) if faults else "none"
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if fault == "sum":
         probabilities[i] += Fraction(1, draw(denominators))
@@ -347,3 +348,53 @@ def test_table_operations_match_a_plain_fraction_reference(joint, data):
         outcome_of(reference_bayes, joint, marginal.outcomes,
                    {c: t.outcomes for c, t in conditionals.items()}, split_label),
     )
+
+
+@st.composite
+def exact_tables(draw):
+    """Valid tables of ``rational_tables``, each whole probability (0 or 1) an int or a Fraction, as drawn."""
+    return tuple(
+        (label, int(p) if p.denominator == 1 and draw(st.booleans()) else p)
+        for label, p in draw(rational_tables(faults=False))
+    )
+
+
+def assert_integer_form(table):
+    """``numerators`` and ``denominator`` are the table's probabilities over their least common denominator."""
+    assert all(type(n) is int for n in table.numerators)
+    assert len(table.numerators) == len(table.outcomes)
+    assert sum(table.numerators) == table.denominator
+    assert table.denominator == lcm(*(p.denominator for _, p in table.outcomes))
+    for (_, p), n in zip(table.outcomes, table.numerators):
+        assert Fraction(n, table.denominator) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcomes=exact_tables(), data=st.data())
+def test_every_table_holds_its_probabilities_in_integer_form(outcomes, data):
+    table = ProbabilityTable(outcomes)
+    assert table.outcomes == outcomes
+    assert_integer_form(table)
+    labels = table.labels()
+
+    uniform = uniform_table(labels)
+    assert_integer_form(uniform)
+    assert uniform.outcomes == tuple((label, Fraction(1, len(labels))) for label in labels)
+
+    projection = {label: split_label(label)[0] for label in labels}
+    marginal = marginalize(table, projection)
+    assert_integer_form(marginal)
+    assert marginal.outcomes == reference_marginalize(outcomes, projection)
+
+    keep = set(data.draw(st.lists(st.sampled_from(labels), min_size=1), label="kept")).__contains__
+    got, want = outcome_of(condition, table, keep), outcome_of(reference_condition, outcomes, keep)
+    assert_same(got, want)
+    if got[0] == "ok":
+        assert_integer_form(got[1])
+
+    # The integer form follows from the outcomes, so it changes nothing about equality, hashing or order.
+    as_fractions = ProbabilityTable(tuple((label, Fraction(p)) for label, p in outcomes))
+    assert as_fractions == table and hash(as_fractions) == hash(table)
+    for other in (uniform, marginal):
+        assert (table == other) == (table.outcomes == other.outcomes)
+        assert (table < other) == (table.outcomes < other.outcomes)
