@@ -6,6 +6,10 @@ integral, so the invariant measure of [l, x] is u(x) - u(l) and cdf(x) = (u(x) -
 u(lower)) / normalizer (Jaynes, "Prior Probabilities", 1968).  A family's chart
 gives this canonical coordinate u: x for translation, log x for scale, a GK15
 table over the interval for a custom law.  A built-in's table is one exact panel.
+A custom table also keeps, for each panel, the Chebyshev series of u from the
+panel's left edge: the antiderivative of the degree-14 polynomial through the
+weight at the panel's 15 Kronrod nodes.  Its cdf and quantile read that series,
+within the table's 1e-10 tolerance, and call the law no more.
 
 This module is floating point (binary64) throughout; tolerances are
 declared per operation.  Everything is pure and immutable; sampling is
@@ -15,11 +19,13 @@ deterministic given an explicit seed.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
 import random
 from collections import namedtuple
+from operator import mul
 from typing import Callable
 
 from .record import Record
@@ -27,15 +33,17 @@ from .record import Record
 _COMPLEX_STEP = 2.0**-100  # a power of two, so that dividing it out is exact
 _FD_STEP = float(2.0**-52) ** (1.0 / 3.0)  # cbrt of machine epsilon
 _QUAD_REL_TOL = 1e-10
+_FD_NOISE_CAP = 1e-6  # a central-difference weight noisier than this is refused at the budget, as before
 _QUAD_BUDGET = 15 * 10_000  # weight evaluations per custom density
 _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
 
-# A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, 0 if exact);
-# point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form, or ITP steps on cdf for a custom table);
-# affine(a, b): does a*x + b keep d in the family?
-_Chart = namedtuple("_Chart", "name form weight panel point affine")
+# A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, node values),
+# the node values None for an exact panel; point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form,
+# or ITP steps on cdf for a custom table); affine(a, b): does a*x + b keep d in the family?  noise(f, c) is the
+# weight's relative noise over c, 0 but for a central difference; a table's tolerance is never below it.
+_Chart = namedtuple("_Chart", "name form weight panel point affine noise")
 
 
 class OneParamFamily(Record):
@@ -100,17 +108,20 @@ def haar_measure(f: OneParamFamily, c: IntervalConstraint) -> float:
 
 
 class NormalizedDensity(Record):
-    """The weight normalized to 1 over the support, with the chart's table: panel edges, the integral up to each."""
+    """The weight normalized to 1 over the support, with the chart's table: panel edges, the integral up to each,
+    and for a quadrature table each panel's Chebyshev series of the integral from its left edge, per half-width."""
 
-    __slots__ = ("family", "support", "normalizer", "edges", "cumulative")
+    __slots__ = ("family", "support", "normalizer", "edges", "cumulative", "series")
 
     def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float,
-                 edges: tuple[float, ...] = (), cumulative: tuple[float, ...] = ()) -> None:
+                 edges: tuple[float, ...] = (), cumulative: tuple[float, ...] = (),
+                 series: tuple[tuple[float, ...], ...] = ()) -> None:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "normalizer", normalizer)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cumulative", cumulative)
+        object.__setattr__(self, "series", series)
 
     @property
     def form(self) -> str:
@@ -129,7 +140,11 @@ class NormalizedDensity(Record):
         return value
 
     def cdf(self, x: float) -> float:
-        """Mass below x: (u(x) - u(lower)) / normalizer, read as the table at the edge below x plus one panel."""
+        """Mass below x: (u(x) - u(lower)) / normalizer, read as the table at the edge below x plus the rest.
+
+        A built-in family's closed form gives the rest exactly.  A custom table reads its panel's
+        Chebyshev series, within the table's 1e-10 tolerance, and calls the law not at all.
+        """
         if math.isnan(x):
             raise ValueError("cdf at x=nan is undefined")
         if x <= self.support.lower:
@@ -137,8 +152,13 @@ class NormalizedDensity(Record):
         if x >= self.support.upper:
             return 1.0
         i = bisect.bisect_right(self.edges, x) - 1
-        partial = self.cumulative[i] + self.family.chart.panel(self.family, self.edges[i], x)[0]
-        return min(1.0, max(0.0, partial / self.normalizer))
+        a, b = self.edges[i], self.edges[i + 1]
+        if self.series:
+            half = 0.5 * (b - a)
+            rest = half * _chebyshev_sum(self.series[i], (x - 0.5 * (a + b)) / half)
+        else:
+            rest = self.family.chart.panel(self.family, a, x)[0]
+        return min(1.0, max(0.0, (self.cumulative[i] + rest) / self.normalizer))
 
     def quantile(self, q: float) -> float:
         """Inverse of cdf: the point of the chart at u(lower) + q * normalizer."""
@@ -173,11 +193,12 @@ class NormalizedDensity(Record):
 
 def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     """Normalize the invariant weight over the observation interval."""
-    edges, cumulative = _weight_table(f, c)
+    edges, cumulative, nodes = _weight_table(f, c)
     normalizer = cumulative[-1]
     if not math.isfinite(normalizer) or normalizer <= 0:
         raise ValueError(f"weight integral over [{c.lower}, {c.upper}] is {normalizer}")
-    return NormalizedDensity(f, c, normalizer, edges, cumulative)
+    series = () if nodes[0] is None else tuple(map(_antiderivative, nodes))
+    return NormalizedDensity(f, c, normalizer, edges, cumulative, series)
 
 
 def von_mises_reduce(ratio_lower: float, ratio_upper: float) -> NormalizedDensity:
@@ -201,12 +222,12 @@ def _scale_weight(f: OneParamFamily, p: float) -> float:
     return 1.0 / p
 
 
-def _scale_panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
+def _scale_panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float, None]:
     """log(b / a) in closed form, error 0; a difference of logs only where the ratio overflows binary64."""
     if a <= 0:
         raise ValueError(f"scale family needs a positive interval, got lower={a}")
     ratio = b / a
-    return (math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)), 0.0
+    return (math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)), 0.0, None
 
 
 def _scale_point(d: NormalizedDensity, q: float) -> float:
@@ -222,11 +243,30 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
     try:
         rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
     except TypeError:
-        h = _FD_STEP * max(abs(f.identity), 1.0)
-        rate = (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
+        rate = _central_rate(f, p, _FD_STEP * max(abs(f.identity), 1.0))
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
+
+
+def _central_rate(f: OneParamFamily, p: float, h: float) -> float:
+    return (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
+
+
+def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
+    """0 if the law takes the complex step; else the largest relative change of the central difference
+    from step h to 2h at the 7 Gauss nodes of c, at most _FD_NOISE_CAP.  Rounding dominates that change
+    where it dominates the weight, so the table stops at it instead of halving noise to its budget."""
+    center, half = 0.5 * (c.lower + c.upper), 0.5 * (c.upper - c.lower)
+    try:
+        f.compose(center, complex(f.identity, _COMPLEX_STEP))
+    except TypeError:
+        pass
+    else:
+        return 0.0
+    h = _FD_STEP * max(abs(f.identity), 1.0)
+    nodes = [center, *(center + side * half * x for x, _, wg in _GK15 if wg for side in (-1.0, 1.0))]
+    return min(_FD_NOISE_CAP, max(abs(1.0 - _central_rate(f, p, 2.0 * h) / _central_rate(f, p, h)) for p in nodes))
 
 
 def _itp_point(d: NormalizedDensity, q: float) -> float:
@@ -269,40 +309,111 @@ _GK15 = (
 _GK15_CENTER = (0.209482141084727828, 0.417959183673469388)
 
 
-def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float]:
-    """Kronrod 15-point integral of f's weight over [a, b], and its distance from the Gauss 7-point one."""
+def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[list[float], list[float]]]:
+    """Kronrod 15-point integral of f's weight over [a, b], its distance from the Gauss 7-point one, and the
+    weight v at the nodes x of [-1, 1]: the 8 sums v(-x) + v(x), x = 0 first, and the 7 differences v(x) - v(-x)."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     f_center = haar_weight(f, center)
     weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
     kronrod, gauss = _GK15_CENTER[0] * f_center, _GK15_CENTER[1] * f_center
+    sums, differences = [f_center + f_center], []
     for x, wk, wg in _GK15:
-        pair = weight(f, center - half * x) + weight(f, center + half * x)
+        left, right = weight(f, center - half * x), weight(f, center + half * x)
+        pair = left + right
         kronrod += wk * pair
         gauss += wg * pair
-    return half * kronrod, half * abs(kronrod - gauss)
+        sums.append(pair)
+        differences.append(right - left)
+    return half * kronrod, half * abs(kronrod - gauss), (sums, differences)
 
 
-TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0),
-                     lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True)
-SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0)
-CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False)
+@functools.cache
+def _antiderivative_rows() -> tuple[list[list[float]], list[list[float]]]:
+    """Rows that take a panel's node values, as ``_gk15`` gives them, to the Chebyshev coefficients of
+    U(t) = integral from -1 to t of p, where p is the degree-14 polynomial through them on [-1, 1].
+
+    The even part of p, a_0 T_0 + a_2 T_2 + ... + a_14 T_14, is half of each sum at its x; the odd
+    part, a_1 T_1 + ... + a_13 T_13, half of each difference.  Integrating T_k gives
+    b_k = (c a_(k-1) - a_(k+1)) / 2k, c = 2 for k = 1 and 1 after.  So the odd b_k read the 8 sums
+    and the even b_k the 7 differences, each row taking its half in its divisor; U(-1) = 0 fixes b_0.
+    Both systems are well conditioned (infinity-norm condition numbers 11 and 6), so plain
+    elimination in binary64 solves them.
+    """
+    angles = [math.acos(x) for x, _, _ in _GK15]  # T_k(cos angle) = cos(k angle)
+    even = _inverse([[math.cos(k * a) for k in range(0, 15, 2)] for a in (0.5 * math.pi, *angles)]) + [[0.0] * 8]
+    odd = _inverse([[math.cos(k * a) for k in range(1, 15, 2)] for a in angles]) + [[0.0] * 7]
+    odd_rows = [[((2.0 if k == 0 else 1.0) * lo - hi) / (8 * k + 4) for lo, hi in zip(even[k], even[k + 1])]
+                for k in range(8)]  # b_1, b_3, ..., b_15
+    even_rows = [[(lo - hi) / (8 * k + 8) for lo, hi in zip(odd[k], odd[k + 1])]
+                 for k in range(7)]  # b_2, b_4, ..., b_14
+    return odd_rows, even_rows
 
 
-def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Panel edges over c and the weight integral up to each, halving the worst panel until converged."""
-    value, error = f.chart.panel(f, c.lower, c.upper)
-    panels = [(-error, c.lower, c.upper, value)]
+def _inverse(matrix: list[list[float]]) -> list[list[float]]:
+    """Inverse of a square matrix, by Gauss-Jordan elimination with partial pivoting."""
+    n = len(matrix)
+    rows = [[*row, *(float(i == j) for j in range(n))] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _antiderivative(nodes: tuple[list[float], list[float]]) -> tuple[float, ...]:
+    """Chebyshev coefficients b_0..b_15, in t = (x - center) / half, of the integral of the weight from the
+    panel's left edge to x, divided by half.
+
+    Kronrod-15 is exact to degree 22, so its weights are the interpolatory ones: the series at t = 1 is the
+    panel's Kronrod value, and cdf is continuous at every edge of the table.
+    """
+    sums, differences = nodes
+    odd_rows, even_rows = _antiderivative_rows()
+    series = [0.0] * 16
+    series[1::2] = [sum(map(mul, row, sums)) for row in odd_rows]
+    series[2::2] = [sum(map(mul, row, differences)) for row in even_rows]
+    series[0] = sum(series[1::2]) - sum(series[2::2])
+    return tuple(series)
+
+
+def _chebyshev_sum(series: tuple[float, ...], t: float) -> float:
+    """Sum of series[k] T_k(t), by Clenshaw's recurrence."""
+    t2, b1, b2 = 2.0 * t, 0.0, 0.0
+    for coefficient in reversed(series):
+        b1, b2 = coefficient + t2 * b1 - b2, b1
+    return b1 - t * b2
+
+
+TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0, None),
+                     lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True, lambda f, c: 0.0)
+SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0,
+               lambda f, c: 0.0)
+CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False, _rate_noise)
+
+
+def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple, tuple, tuple]:
+    """Panel edges over c, the weight integral up to each and each panel's node values (None for an exact panel),
+    halving the worst panel until the error estimate is within the tolerance or the weight's noise."""
+    value, error, nodes = f.chart.panel(f, c.lower, c.upper)
+    panels = [(-error, c.lower, c.upper, value, nodes)]
     total, total_error = value, error
-    while total_error > _QUAD_REL_TOL * total:
+    tolerance = _QUAD_REL_TOL
+    if total_error > tolerance * total:  # only a table that halves asks for the noise
+        tolerance = max(tolerance, f.chart.noise(f, c))
+    while total_error > tolerance * total:
         if 15 * (2 * len(panels) + 1) > _QUAD_BUDGET:  # the evaluations after one more halving
             raise ValueError(f"weight integral over [{c.lower}, {c.upper}] needs > {_QUAD_BUDGET} evaluations")
-        neg_error, a, b, value = heapq.heappop(panels)
+        neg_error, a, b, value, _ = heapq.heappop(panels)
         total, total_error = total - value, total_error + neg_error
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            value, error = f.chart.panel(f, lo, hi)
-            heapq.heappush(panels, (-error, lo, hi, value))
+            value, error, nodes = f.chart.panel(f, lo, hi)
+            heapq.heappush(panels, (-error, lo, hi, value, nodes))
             total, total_error = total + value, total_error + error
     panels.sort(key=lambda panel: panel[1])
     edges = (c.lower, *(panel[2] for panel in panels))
-    return edges, (0.0, *itertools.accumulate(panel[3] for panel in panels))
+    return edges, (0.0, *itertools.accumulate(panel[3] for panel in panels)), tuple(panel[4] for panel in panels)

@@ -49,7 +49,8 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
     with no identity or inverse assumed: the set of right factors s for which it
     holds for all a, c is closed under ∘, so S inside it makes it everything.  If
     a generator fails, every pair (a, b) is swept the same way, so that the
-    residual counts each violating triple.
+    residual counts each violating triple.  An entry that equals an id but is no
+    int, such as ``1.0``, is refused with a ``ValueError`` that names it.
     """
     n, table, e = g.n, g.table, g.identity
     if n > 4096:
@@ -59,9 +60,21 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
         "inverse": sum(not _has_inverse(table, a, e) for a in range(n)),
         "associativity": 0,
     }
-    if not all(_associates_through(table, s) for s in _greedy_generators(table)):
-        counts["associativity"] = _associativity_violations(table)
+    try:
+        if not all(_associates_through(table, s) for s in _greedy_generators(table)):
+            counts["associativity"] = _associativity_violations(table)
+    except TypeError:  # an entry equal to an id but no int, such as 1.0, failed as an index
+        _refuse_an_entry_that_is_no_int(f"{g.label}: table", table)
+        raise
     return _count_report(f"group-axioms[{g.label}]", counts, f"order {n}")
+
+
+def _refuse_an_entry_that_is_no_int(name: str, table) -> None:
+    """Raise a ValueError naming the first entry of ``table`` that is not an int, if there is one."""
+    for row, entries in enumerate(table):
+        for column, entry in enumerate(entries):
+            if not isinstance(entry, int):
+                raise ValueError(f"{name} entry {entry!r} at row {row}, column {column} is not an int") from None
 
 
 def _count_report(name: str, counts: dict[str, int], fallback: str) -> CheckReport:
@@ -135,18 +148,24 @@ def verify_action(action: GroupAction) -> CheckReport:
     The residual counts rows that are no permutation plus failing pairs (s, h).  As in
     ``verify_group_axioms``, s runs over a greedy generating set only: the s that satisfy the
     identity for every h are closed under ∘, since the group's table is associative, so the
-    generators reach every element.
+    generators reach every element.  An entry of either table that equals an index but is no int
+    is refused with a ``ValueError`` that names it.
     """
     group, n_states = action.group, len(action.states)
     rows = [tuple(row) for row in action.act]  # a row given as a list still compares equal to its composite
-    counts = {
-        "permutation": sum(len(set(row)) != n_states for row in rows),
-        "composition": sum(
-            rows[group.table[s][h]] != tuple(map(rows[s].__getitem__, rows[h]))
-            for s in _greedy_generators(group.table)
-            for h in range(group.n)
-        ),
-    }
+    try:
+        counts = {
+            "permutation": sum(len(set(row)) != n_states for row in rows),
+            "composition": sum(
+                rows[group.table[s][h]] != tuple(map(rows[s].__getitem__, rows[h]))
+                for s in _greedy_generators(group.table)
+                for h in range(group.n)
+            ),
+        }
+    except TypeError:  # an entry equal to an index but no int, such as 1.0, failed as an index
+        _refuse_an_entry_that_is_no_int("action table", rows)
+        _refuse_an_entry_that_is_no_int(f"{group.label}: table", group.table)
+        raise
     return _count_report(f"action[{group.label}]", counts, f"{n_states} states")
 
 

@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 from .record import Record
 
+_EXACT_TYPES = frozenset((int, Fraction))  # exact types only: a bool, a float or a Decimal is refused
+
 
 class ProbabilityTable(Record):
     """Ordered (label, probability) outcomes; probabilities are ints or Fractions and sum to exactly 1.
@@ -30,17 +32,14 @@ class ProbabilityTable(Record):
     def __init__(self, outcomes: tuple[tuple[str, Fraction], ...]) -> None:
         if not outcomes:
             raise ValueError("probability table must have at least one outcome")
-        seen = set()
-        for label, p in outcomes:
-            if label in seen:
-                raise ValueError(f"duplicate outcome label {label!r}")
-            seen.add(label)
-            if type(p) not in (int, Fraction):  # exact types only: a bool, a float or a Decimal is refused
-                raise ValueError(f"probability {p!r} for outcome {label!r} is not an int or a Fraction")
-            if p.numerator < 0:
-                raise ValueError(f"negative probability {p} for outcome {label!r}")
-        denominator = lcm(*[p.denominator for _, p in outcomes])
-        numerators = tuple([p.numerator * (denominator // p.denominator) for _, p in outcomes])
+        labels = [label for label, _ in outcomes]
+        probabilities = [p for _, p in outcomes]
+        if len(set(labels)) < len(labels) or not _EXACT_TYPES.issuperset(map(type, probabilities)):
+            _refuse_first_outcome(outcomes)
+        denominator = lcm(*[p.denominator for p in probabilities])
+        numerators = tuple([p.numerator * (denominator // p.denominator) for p in probabilities])
+        if min(numerators) < 0:
+            _refuse_first_outcome(outcomes)
         total = sum(numerators)
         if total != denominator:
             raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
@@ -56,6 +55,19 @@ class ProbabilityTable(Record):
             if lbl == label:
                 return p
         raise ValueError(f"no outcome labelled {label!r}")
+
+
+def _refuse_first_outcome(outcomes: tuple[tuple[str, Fraction], ...]) -> None:
+    """Raise the refusal of the first outcome whose label repeats, or whose probability is inexact or negative."""
+    seen = set()
+    for label, p in outcomes:
+        if label in seen:
+            raise ValueError(f"duplicate outcome label {label!r}")
+        seen.add(label)
+        if type(p) not in _EXACT_TYPES:
+            raise ValueError(f"probability {p!r} for outcome {label!r} is not an int or a Fraction")
+        if p.numerator < 0:
+            raise ValueError(f"negative probability {p} for outcome {label!r}")
 
 
 def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:

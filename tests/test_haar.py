@@ -99,6 +99,28 @@ def test_finite_difference_step_scales_with_the_identity_not_p():
     assert d.normalizer == pytest.approx(math.log(1000.0), rel=1e-10)
 
 
+def test_a_finite_difference_law_normalizes_at_its_own_noise_floor():
+    # math.asinh refuses a complex b, so this law takes the central difference; its weight is cosh p.
+    # Where sinh p is large, the difference carries more relative noise than the 1e-10 tolerance.
+    family = custom_family(lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0)
+    for k in range(40):
+        lower = -6.0 + 0.3 * k
+        upper = lower + 0.1
+        with deadline(0.05):
+            d = normalize(family, IntervalConstraint(lower, upper))
+        exact = math.sinh(upper) - math.sinh(lower)
+        assert abs(d.normalizer - exact) <= 1e-8 * exact, (lower, upper)
+
+
+def test_the_noise_floor_is_0_for_the_complex_step_and_capped_for_a_central_difference():
+    with_math = custom_family(lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0)
+    with_cmath = custom_family(lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0)
+    noise = {lower: CUSTOM.noise(with_math, IntervalConstraint(lower, lower + 0.1)) for lower in (0.0, 5.4, 20.0)}
+    assert noise[0.0] < 1e-10 < noise[5.4] < 1e-6
+    assert noise[20.0] == 1e-6  # about 1e-3 there: such a table halves to its budget and is refused, as before
+    assert all(CUSTOM.noise(with_cmath, IntervalConstraint(lower, lower + 0.1)) == 0.0 for lower in noise)
+
+
 def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
     family = custom_family(lambda a, b: a + b * (1 + 0.5 * math.sin(1e4 * a)), identity=0.0)
     with deadline(1.0):
@@ -646,3 +668,64 @@ def test_the_custom_point_keeps_its_step_bound_where_false_position_crawls(shape
         found = CUSTOM.point(one_panel, q)
     assert abs(found - root(q, k)) <= 1e-11
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 1
+
+
+# Custom laws and their canonical coordinates u, on intervals whose tables have 1 to 8 panels.
+SERIES_LAWS = {
+    "a*b": (lambda a, b: a * b, 1.0, math.log),
+    "a+b+ab": (lambda a, b: a + b + a * b, 0.0, math.log1p),
+    "asinh": (lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0, math.sinh),
+}
+SERIES_INTERVALS = [
+    *(("a*b", 1.0, hi) for hi in (1.5, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0)),
+    ("a*b", 0.03, 1.0),
+    *(("a+b+ab", 1.0, hi) for hi in (1.5, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)),
+    *(("asinh", lo, hi) for lo, hi in ((-0.5, 0.5), (-3.0, 3.0), (0.0, 16.0), (-6.0, 6.0), (-10.0, 10.0),
+                                       (-12.0, 12.0), (-20.0, 20.0))),
+]
+
+
+@pytest.mark.parametrize("law, lower, upper", SERIES_INTERVALS)
+def test_a_custom_cdf_reads_its_panel_series_within_the_table_tolerance(law, lower, upper):
+    compose, identity, u = SERIES_LAWS[law]
+    d = normalize(custom_family(compose, identity), IntervalConstraint(lower, upper))
+    assert 1 <= len(d.edges) - 1 <= 8
+    grid = [lower + (upper - lower) * k / 999 for k in range(1000)]
+    masses = [d.cdf(x) for x in grid]
+    assert masses == sorted(masses)
+    exact = u(upper) - u(lower)
+    for x, mass in zip(grid, masses):
+        assert abs(mass - (u(x) - u(lower)) / exact) <= 1e-10, x
+    # The series starts at 0 on each edge and ends at the panel's Kronrod value: cdf is continuous there.
+    for edge, below in zip(d.edges[1:-1], d.cumulative[1:-1]):
+        assert abs(d.cdf(edge) - below / d.normalizer) <= 1e-15
+        assert abs(d.cdf(math.nextafter(edge, -math.inf)) - below / d.normalizer) <= 1e-15
+    for x in grid[1:-1:20]:
+        with deadline(1.0):
+            assert abs(d.quantile(d.cdf(x)) - x) <= 1e-9 * (upper - lower)
+
+
+def test_the_series_intervals_cover_every_table_size_from_1_to_8_panels():
+    sizes = set()
+    for law, lower, upper in SERIES_INTERVALS:
+        compose, identity, _ = SERIES_LAWS[law]
+        sizes.add(len(normalize(custom_family(compose, identity), IntervalConstraint(lower, upper)).edges) - 1)
+    assert sizes == set(range(1, 9))
+
+
+@pytest.mark.parametrize("law", sorted(SERIES_LAWS))
+def test_after_normalize_cdf_quantile_and_sample_call_the_law_no_more(law):
+    compose, identity, _ = SERIES_LAWS[law]
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return compose(a, b)
+
+    d = normalize(custom_family(counted, identity), IntervalConstraint(1.0, 5.0))
+    assert calls
+    calls.clear()
+    d.cdf(2.0)
+    d.quantile(0.3)
+    d.sample(seed=3, n=5)
+    assert calls == []

@@ -218,6 +218,28 @@ def test_axiom_check_refuses_huge_orders():
             verify_group_axioms(huge)
 
 
+def test_a_group_table_entry_that_is_no_int_is_refused_by_name():
+    # 1.0 is a member of the ids 0..1, so the group builds; the check then reads it as an index.
+    g = FiniteGroup("t", ((0, 1.0), (1, 0)), 0)
+    with pytest.raises(ValueError, match=r"^t: table entry 1\.0 at row 0, column 1 is not an int$"):
+        verify_group_axioms(g)
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (GroupAction(make_cyclic(2), ("x", "y"), ((0, 1), (1.0, 0))),
+         r"^action table entry 1\.0 at row 1, column 0 is not an int$"),
+        (GroupAction(FiniteGroup("t", ((0, 1.0), (1, 0)), 0), ("x", "y"), ((0, 1), (1, 0))),
+         r"^t: table entry 1\.0 at row 0, column 1 is not an int$"),
+    ],
+    ids=["action-entry", "group-entry"],
+)
+def test_an_action_or_group_entry_that_is_no_int_is_refused_by_name(action, message):
+    with pytest.raises(ValueError, match=message):
+        verify_action(action)
+
+
 @pytest.mark.parametrize(
     "action, details",
     [

@@ -59,6 +59,21 @@ def test_a_probability_that_is_not_an_int_or_a_fraction_is_refused(outcomes, lab
         ProbabilityTable(outcomes)
 
 
+@pytest.mark.parametrize(
+    "outcomes, message",
+    [
+        ((("a", Fraction(-1, 2)), ("a", 0.5), ("b", 1)), "negative probability -1/2 for outcome 'a'"),
+        ((("a", 1), ("b", 0.5), ("b", Fraction(-1, 2))), "probability 0.5 for outcome 'b' is not an int or a Fraction"),
+        ((("a", 1), ("a", 0.5), ("b", Fraction(-1, 2))), "duplicate outcome label 'a'"),
+        ((("a", 2), ("b", 0), ("c", -1), ("d", -1)), "negative probability -1 for outcome 'c'"),
+    ],
+    ids=["sign-first", "type-first", "label-first", "first-of-two-signs"],
+)
+def test_a_table_with_several_faults_names_the_first_outcome_that_has_one(outcomes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProbabilityTable(outcomes)
+
+
 def test_int_probabilities_are_accepted_and_come_back_as_fractions():
     table = ProbabilityTable((("a", 1), ("b", 0)))
     assert table.outcomes == (("a", 1), ("b", 0))
