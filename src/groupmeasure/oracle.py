@@ -289,7 +289,8 @@ def integrate(fn: Callable[[float], float], lower: float, upper: float, tol: flo
 def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
     """Eigenpairs of a real symmetric 2x2 matrix, larger eigenvalue first.
 
-    The matrix is any 2x2 nested sequence of numbers.  Quadratic-formula
+    The matrix is any 2x2 nested sequence of finite numbers, symmetric within
+    1e-12 of its largest |entry|.  Quadratic-formula
     eigenvalues; eigenvectors from the characteristic system, unit norm,
     first nonzero component nonnegative.
     """
@@ -297,7 +298,9 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
         (a, b), (b_low, c) = [[float(x) for x in row] for row in m]
     except (TypeError, ValueError) as err:
         raise ValueError(f"expected a 2x2 matrix, got {m!r}") from err
-    if abs(b - b_low) > 1e-12:
+    if not all(map(math.isfinite, (a, b, b_low, c))):
+        raise ValueError(f"matrix entries must be finite, got {m!r}")
+    if abs(b - b_low) > 1e-12 * max(abs(a), abs(b), abs(b_low), abs(c)):
         raise ValueError(f"matrix is not symmetric: off-diagonals {b} vs {b_low}")
     mid = 0.5 * (a + c)
     radius = math.hypot(0.5 * (a - c), b)

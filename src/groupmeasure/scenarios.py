@@ -322,15 +322,18 @@ def _run_spin_chain(thetas: tuple[float, ...], seed: int, trials: int) -> Report
                 for step, (theta, outcome) in enumerate(zip(thetas, trajectory))
             ),
         )
-    finals = (spin.sequential_chain(table, seed + i)[-1] for i in range(trials))
-    plus = sum(final.eigenvalue == 1 for final in finals)
+    plus = sum(spin.sequential_chain(table, seed + i)[-1].eigenvalue == 1 for i in range(trials))
     frequency = plus / trials
+    expected = spin.final_plus_probability(table)
+    variance = trials * expected * (1.0 - expected)
     return Report(
         kind="spin_chain",
         summary=(
             ("seed", seed),
             ("trials", trials),
             ("final_plus_frequency", frequency),
+            ("final_plus_expected", expected),
+            ("final_plus_z", (plus - trials * expected) / math.sqrt(variance) if variance > 0.0 else 0.0),
             ("eigenvalue_unit", spin.EIGENVALUE_UNIT),
         ),
         columns=("eigenvalue", "count", "frequency"),

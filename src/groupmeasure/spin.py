@@ -6,12 +6,14 @@ phase; the stored representative follows one phase convention (first
 nonzero component real and nonnegative) so outputs are deterministic.
 A chain's caller builds its table once with ``transition_table(initial,
 thetas)``, and each trial samples it with ``sequential_chain(table, seed)``.
+A trial draws from ``_random.Random(seed)``, the C Mersenne Twister under
+``random.Random``, whose stream for an int seed it equals bit for bit.
 """
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from collections.abc import Sequence
 
 from .record import Record
@@ -67,21 +69,25 @@ def eigensystem(obs: SpinObservable) -> tuple[tuple[int, SpinRay], tuple[int, Sp
     nonnegative; v_minus is its quarter-turn (-sin(theta/2), cos(theta/2)), so
     the pair always forms a right-handed orthonormal basis.
     """
-    half = 0.5 * obs.theta
-    c, s = math.cos(half), math.sin(half)
-    if c < -NORM_TOL or (abs(c) <= NORM_TOL and s < 0.0):
-        c, s = -c, -s
+    c, s = _half_angle(obs.theta)
     plus = SpinRay(complex(c), complex(s))
     minus = SpinRay(complex(-s), complex(c))
     return (1, plus), (-1, minus)
 
 
+def _half_angle(theta: float) -> tuple[float, float]:
+    """(cos(theta/2), sin(theta/2)), negated when needed to make the first nonzero one nonnegative."""
+    half = 0.5 * theta
+    c, s = math.cos(half), math.sin(half)
+    if c < -NORM_TOL or (abs(c) <= NORM_TOL and s < 0.0):
+        return -c, -s
+    return c, s
+
+
 def amplitudes(ray: SpinRay, obs: SpinObservable) -> tuple[complex, complex]:
-    """Inner products of the ray with the two eigenvectors."""
-    (_, plus), (_, minus) = eigensystem(obs)
-    amp_plus = plus.up.conjugate() * ray.up + plus.down.conjugate() * ray.down
-    amp_minus = minus.up.conjugate() * ray.up + minus.down.conjugate() * ray.down
-    return amp_plus, amp_minus
+    """Inner products of the ray with the two real eigenvectors (c, s) and (-s, c) of ``_half_angle``."""
+    c, s = _half_angle(obs.theta)
+    return c * ray.up + s * ray.down, c * ray.down - s * ray.up
 
 
 def probabilities(ray: SpinRay, obs: SpinObservable) -> tuple[float, float]:
@@ -95,16 +101,24 @@ def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     p_plus, p_minus = probabilities(ray, obs)
-    if refusal := _refusal(outcome, p_plus if outcome == 1 else p_minus):
+    if refusal := _refusal(outcome, p_plus if outcome == 1 else p_minus, _residue_floor(obs.theta)):
         raise ValueError(refusal)
     (_, plus), (_, minus) = eigensystem(obs)
     return plus if outcome == 1 else minus
 
 
-def _refusal(outcome: int, p: float) -> str | None:
-    # Rounding leaves an impossible outcome a residue such as 3.7e-33 (spin up at theta = pi).
-    if p <= NORM_TOL:
-        return f"outcome {outcome:+d} has probability 0 (p = {p:.3g}) and cannot be observed"
+def _residue_floor(theta: float, previous: float = 0.0) -> float:
+    """ulp(max(|theta|, |previous|, pi))^2, previous being the angle the incoming state was measured at.
+    Rounding leaves an impossible outcome a residue below it, such as 3.7e-33 for spin up at theta = pi, or
+    about ulp(previous)^2 / 16 when theta = previous + k pi; a probability at or below it counts as 0."""
+    unit = math.ulp(max(abs(theta), abs(previous), math.pi))
+    return unit * unit  # inf where the square passes the float range, and ** would raise
+
+
+def _refusal(outcome: int, p: float, floor: float) -> str | None:
+    if p <= floor:
+        return (f"outcome {outcome:+d} has probability 0 (p = {p:.3g}, within the rounding floor {floor:.3g} "
+                "at the angles' scale) and cannot be observed")
     return None
 
 
@@ -121,36 +135,53 @@ class MeasurementOutcome(Record):
 
 def transition_table(initial: SpinRay, thetas: Sequence[float]) -> tuple:
     """Per step, one row per incoming state (the initial ray, then the previous angle's + or -
-    eigenvector): p_plus and the outcomes after +1 and -1, or collapse's refusal if impossible."""
+    eigenvector): p_plus and the outcomes after +1 and -1, or a refusal if impossible at the scale of
+    this angle and the previous one."""
     if not thetas:
         raise ValueError("measurement chain needs at least one angle")
-    incoming = (initial,)
+    incoming, previous = (initial,), 0.0
     table = []
     for theta in thetas:
         obs = observable(theta)
         (_, plus), (_, minus) = eigensystem(obs)
+        floor = _residue_floor(theta, previous)
         rows = []
         for ray in incoming:
             p_plus, p_minus = probabilities(ray, obs)
-            rows.append((p_plus, _refusal(1, p_plus) or MeasurementOutcome(1, p_plus, plus),
-                         _refusal(-1, p_minus) or MeasurementOutcome(-1, p_minus, minus)))
+            rows.append((p_plus, _refusal(1, p_plus, floor) or MeasurementOutcome(1, p_plus, plus),
+                         _refusal(-1, p_minus, floor) or MeasurementOutcome(-1, p_minus, minus)))
         table.append(tuple(rows))
-        incoming = (plus, minus)
+        incoming, previous = (plus, minus), theta
     return tuple(table)
+
+
+def final_plus_probability(table: tuple) -> float:
+    """Exact P(the last outcome is +1): the distribution over the incoming rows, carried through each
+    step's p_plus.  The first step has the one row of the initial ray."""
+    plus, minus = 1.0, 0.0
+    for step in table:
+        a, b = step[0][0], step[-1][0]  # p_plus after a +1 and after a -1
+        plus, minus = plus * a + minus * b, plus * (1.0 - a) + minus * (1.0 - b)
+    return plus
 
 
 def sequential_chain(table: tuple, seed: int) -> list[MeasurementOutcome]:
     """One trial of a chain: measure at each angle of the table in order, sampling and collapsing.
 
-    ``random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
+    ``_random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
     is below p_plus; each step records the probability of the observed eigenvalue.
+    ``random.Random.seed`` hands an int seed unchanged to this C class, so the draws
+    are those of ``random.Random(seed)``, without the Python wrappers' cost.
     """
-    draw = random.Random(seed).random
+    draw = _random.Random(seed).random
     trajectory: list[MeasurementOutcome] = []
     row = 0
     for step in table:
         p_plus, plus, minus = step[row]
-        outcome, row = (plus, 0) if draw() < p_plus else (minus, 1)
+        if draw() < p_plus:
+            outcome, row = plus, 0
+        else:
+            outcome, row = minus, 1
         if type(outcome) is str:
             raise ValueError(outcome)
         trajectory.append(outcome)

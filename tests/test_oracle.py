@@ -390,6 +390,22 @@ def test_eigensolver_rejects_asymmetric_input():
         symmetric_eigensolver_2x2([[1.0, 0.5], [0.2, 1.0]])
 
 
+def test_eigensolver_checks_symmetry_relative_to_the_largest_entry():
+    # Off-diagonals 1e-10 apart relative to the 1e20 entry are symmetric within rounding.
+    (hi, _), (lo, _) = symmetric_eigensolver_2x2([[1e20, 1e8], [1e8 + 0.01, 1.0]])
+    assert hi == 1e20 and abs(lo) <= 1e20 * 1e-15
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_eigensolver_2x2([[1.0, 0.0], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("m", [
+    [[math.inf, 1.0], [2.0, 0.0]], [[math.inf, 1.0], [1.0, 0.0]], [[1.0, math.nan], [math.nan, 1.0]],
+])
+def test_eigensolver_refuses_a_non_finite_entry_instead_of_answering_nan(m):
+    with pytest.raises(ValueError, match="finite"):
+        symmetric_eigensolver_2x2(m)
+
+
 @pytest.mark.parametrize(
     "m",
     [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 2.0],

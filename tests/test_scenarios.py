@@ -398,6 +398,43 @@ def test_run_chain_builds_its_transition_table_once_per_run(monkeypatch):
     assert calls == thetas
 
 
+def test_a_chain_run_samples_once_per_trial_and_reads_each_table_row_once(monkeypatch):
+    counts = {"sequential_chain": 0, "probabilities": 0}
+    for name in counts:
+        original = getattr(spin, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spin, name, counted)
+    thetas = [0.3, 1.1, 2.0, -0.7]
+    run(scenario_from_dict({"kind": "spin_chain", "thetas": thetas, "seed": 5, "trials": 40}))
+    assert counts == {"sequential_chain": 40, "probabilities": 1 + 2 * (len(thetas) - 1)}
+
+
+@pytest.mark.parametrize("thetas, expected", [
+    ([1.5707963267948966, 0.0], 0.5),
+    ([0.3, 1.1, 2.0, -0.7], 0.3129759658539556),
+    ([0.05 + 0.1 * k for k in range(32)], 0.9275616775415088),
+], ids=["2_angles", "4_angles", "32_angles"])
+def test_a_chain_reports_its_exact_final_plus_probability_and_z_score(thetas, expected):
+    # The expected values are those of the closed recurrence p' = p c + (1 - p)(1 - c), c = cos^2(dtheta / 2).
+    trials = 500
+    doc = {"kind": "spin_chain", "thetas": thetas, "seed": 3, "trials": trials}
+    summary = dict(run(scenario_from_dict(doc)).summary)
+    p = summary["final_plus_expected"]
+    assert p == pytest.approx(expected, abs=1e-15)
+    z = (summary["final_plus_frequency"] * trials - trials * p) / math.sqrt(trials * p * (1.0 - p))
+    assert summary["final_plus_z"] == pytest.approx(z, rel=1e-12)
+    assert abs(summary["final_plus_z"]) < 5.0
+
+
+def test_a_certain_chain_reports_z_0():
+    summary = dict(run(scenario_from_dict({"kind": "spin_chain", "thetas": [0.0, 0.0], "trials": 30})).summary)
+    assert (summary["final_plus_expected"], summary["final_plus_frequency"], summary["final_plus_z"]) == (1.0, 1.0, 0)
+
+
 def test_run_attaches_scenario_context_to_module_errors():
     s = Scenario("von_mises", (1.0, -3.0))  # builds: the order of the ratios is von_mises_reduce's rule
     with pytest.raises(ScenarioError, match="von_mises scenario"):

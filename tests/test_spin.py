@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from groupmeasure import spin
@@ -193,6 +193,43 @@ def test_collapse_on_impossible_outcome_is_an_error():
             collapse(SPIN_UP, observable(theta), outcome)
 
 
+def test_a_possible_outcome_near_the_antipode_is_observed_and_the_antipode_is_refused():
+    # p = sin(1e-6)^2 is about 1e-12, far above the rounding residue at the angle's scale.
+    obs = observable(math.pi - 2e-6)
+    assert probabilities(SPIN_UP, obs)[0] == pytest.approx(1e-12, rel=1e-9)
+    assert collapse(SPIN_UP, obs, 1) == eigensystem(obs)[0][1]
+    with pytest.raises(ValueError, match="probability 0"):
+        collapse(SPIN_UP, observable(math.pi), 1)
+
+
+def test_a_chain_refuses_exactly_the_impossible_outcomes_at_its_angles_scale():
+    # theta2 = theta1 + k pi: for odd k the outcome that repeats the first is impossible, for even k the other one.
+    # The rounding of theta1 leaves it a residue near ulp(theta1)^2 even where theta2 is small.
+    rng = random.Random(2024)
+    cases = [(1e6 + 0.3, -318_310), (1e6 + 0.3, 1), (0.7, 5), (2.0**50 + 0.75, -(2**50 // 3))]
+    cases += [(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 9), rng.randint(-10**6, 10**6)) for _ in range(2000)]
+    for first, k in cases:
+        second = first + k * math.pi
+        floor = math.ulp(max(abs(first), abs(second), math.pi)) ** 2
+        table = transition_table(SPIN_UP, [first, second])
+        for row, repeated in zip(table[1], (1, 2)):
+            impossible, certain = (repeated, 3 - repeated) if k % 2 else (3 - repeated, repeated)
+            assert type(row[impossible]) is str, (first, k)
+            assert 1.0 - row[certain].probability <= max(floor, 1e-15), (first, k)
+
+
+@given(
+    ray=st.builds(random_ray, angles, angles, angles),
+    theta=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+def test_probabilities_are_the_squared_moduli_of_the_eigenvector_inner_products_to_the_bit(ray, theta):
+    obs = observable(theta)
+    expected = tuple(
+        abs(v.up.conjugate() * ray.up + v.down.conjugate() * ray.down) ** 2 for _, v in eigensystem(obs)
+    )
+    assert probabilities(ray, obs) == expected
+
+
 def test_collapse_validates_outcome_value():
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         collapse(SPIN_UP, observable(0.0), 2)
@@ -243,16 +280,22 @@ def test_x_then_z_chain_final_frequency():
 
 
 def reference_chain(initial, thetas, seed):
-    """The chain's seed contract written out step by step: one draw per step, +1 iff below p_plus."""
+    """The chain's seed contract written out step by step: one draw per step, +1 iff below p_plus.
+
+    An outcome is refused at p <= ulp(max(|previous angle|, |angle|, pi))^2; collapse knows only the angle.
+    """
     rng = random.Random(seed)
-    state = initial
+    state, previous = initial, 0.0
     trajectory = []
     for theta in thetas:
         obs = observable(theta)
         p_plus, p_minus = probabilities(state, obs)
         outcome = 1 if rng.random() < p_plus else -1
-        state = collapse(state, obs, outcome)
-        trajectory.append(MeasurementOutcome(outcome, p_plus if outcome == 1 else p_minus, state))
+        p, unit = (p_plus if outcome == 1 else p_minus), math.ulp(max(abs(previous), abs(theta), math.pi))
+        if p <= unit * unit:
+            raise ValueError(spin._refusal(outcome, p, unit * unit))
+        state, previous = collapse(state, obs, outcome), theta
+        trajectory.append(MeasurementOutcome(outcome, p, state))
     return trajectory
 
 
@@ -284,6 +327,7 @@ initial_states = st.one_of(
     thetas=angle_pool.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),
     seed=st.integers(min_value=0, max_value=2**64),
 )
+@example(initial=SPIN_UP, thetas=[2.0**50 + 0.75, 1.0], seed=15)  # p = 0.018 at step 2 is below ulp(2^50)^2
 def test_chain_follows_the_per_step_seed_contract(initial, thetas, seed):
     table = transition_table(initial, thetas)
     for trial_seed in (seed, seed + 1, seed):  # the repeat samples the same table with the same seed
@@ -302,7 +346,7 @@ def test_sampled_impossible_outcome_raises_the_collapse_error(monkeypatch):
         def random(self):
             return 0.0
 
-    monkeypatch.setattr(spin, "random", SimpleNamespace(Random=DrawsZero))
+    monkeypatch.setattr(spin, "_random", SimpleNamespace(Random=DrawsZero))
     table = transition_table(SPIN_UP, [math.pi])
     for _ in range(2):
         with pytest.raises(ValueError, match="has probability 0") as raised:
