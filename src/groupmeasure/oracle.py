@@ -290,9 +290,9 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
     """Eigenpairs of a real symmetric 2x2 matrix, larger eigenvalue first.
 
     The matrix is any 2x2 nested sequence of finite numbers, symmetric within
-    1e-12 of its largest |entry|.  Quadratic-formula
-    eigenvalues; eigenvectors from the characteristic system, unit norm,
-    first nonzero component nonnegative.
+    1e-12 of its largest |entry|.  The eigenvalue of larger modulus comes from
+    the quadratic formula, the other from the determinant; eigenvectors from
+    the characteristic system, unit norm, first nonzero component nonnegative.
     """
     try:
         (a, b), (b_low, c) = [[float(x) for x in row] for row in m]
@@ -304,7 +304,14 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
         raise ValueError(f"matrix is not symmetric: off-diagonals {b} vs {b_low}")
     mid = 0.5 * (a + c)
     radius = math.hypot(0.5 * (a - c), b)
-    hi, lo = mid + radius, mid - radius
+    if radius == 0.0:
+        # Scalar matrix: every direction is an eigenvector; fix the standard basis.
+        return (mid, (1.0, 0.0)), (mid, (0.0, 1.0))
+    # The eigenvalue of larger modulus adds like signs; the other is det / it, not mid -+ radius,
+    # which cancels when the two differ in scale.  |big| >= max(|a|, |b|, |c|), so no quotient overflows.
+    big = mid + math.copysign(radius, mid)
+    small = (a / big) * c - (b / big) * b
+    hi, lo = (big, small) if big >= small else (small, big)
 
     def eigenvector(lam: float) -> tuple[float, float]:
         # (a - lam) x + b y = 0 and b x + (c - lam) y = 0; pick the better-conditioned
@@ -316,9 +323,6 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
         pivot = x if abs(x) > 1e-12 else y
         return (x, y) if pivot >= 0 else (-x, -y)
 
-    if radius == 0.0:
-        # Scalar matrix: every direction is an eigenvector; fix the standard basis.
-        return (hi, (1.0, 0.0)), (lo, (0.0, 1.0))
     x, y = eigenvector(hi)
     # The second eigenvector is the quarter-turn of the first (same convention
     # as the spin module: right-handed orthonormal pair).

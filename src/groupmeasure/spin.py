@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import _random
 import math
+import operator
 from collections.abc import Sequence
 
 from .record import Record
@@ -108,11 +109,14 @@ def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
 
 
 def _residue_floor(theta: float, previous: float = 0.0) -> float:
-    """ulp(max(|theta|, |previous|, pi))^2, previous being the angle the incoming state was measured at.
-    Rounding leaves an impossible outcome a residue below it, such as 3.7e-33 for spin up at theta = pi, or
-    about ulp(previous)^2 / 16 when theta = previous + k pi; a probability at or below it counts as 0."""
+    """min(ulp(max(|theta|, |previous|, pi))^2, NORM_TOL), previous being the angle the incoming state was
+    measured at.  Rounding leaves an impossible outcome a residue below the ulp term, such as 3.7e-33 for
+    spin up at theta = pi, or about ulp(previous)^2 / 16 when theta = previous + k pi; a probability at or
+    below the floor counts as 0.  From |angle| = 2^33 the ulp term passes NORM_TOL, and the angle's own
+    rounding decides probabilities that small, so the floor stays at NORM_TOL: a likely outcome is never
+    refused as impossible."""
     unit = math.ulp(max(abs(theta), abs(previous), math.pi))
-    return unit * unit  # inf where the square passes the float range, and ** would raise
+    return min(unit * unit, NORM_TOL)  # unit * unit is inf past the float range, where ** would raise
 
 
 def _refusal(outcome: int, p: float, floor: float) -> str | None:
@@ -171,9 +175,11 @@ def sequential_chain(table: tuple, seed: int) -> list[MeasurementOutcome]:
     ``_random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
     is below p_plus; each step records the probability of the observed eigenvalue.
     ``random.Random.seed`` hands an int seed unchanged to this C class, so the draws
-    are those of ``random.Random(seed)``, without the Python wrappers' cost.
+    are those of ``random.Random(seed)``, without the Python wrappers' cost.  The seed
+    must be an int: ``random.Random`` seeds a str or bytes from its SHA-512, which the
+    C class does not, so any other type is a TypeError.
     """
-    draw = _random.Random(seed).random
+    draw = _random.Random(operator.index(seed)).random
     trajectory: list[MeasurementOutcome] = []
     row = 0
     for step in table:

@@ -379,6 +379,15 @@ def test_eigensolver_classic_example():
     assert lo == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_eigensolver_keeps_the_smaller_eigenvalue_when_the_two_differ_in_scale(sign):
+    # Eigenvalues 1e20 and 1 - 1e-4 (det / trace to 1e-36); mid - radius would cancel to 0.
+    (hi, v_hi), (lo, v_lo) = symmetric_eigensolver_2x2([[sign * 1e20, sign * 1e8], [sign * 1e8, sign * 1.0]])
+    big, small = sign * 1e20, sign * (1.0 - 1e-4)
+    assert (hi, lo) == pytest.approx((max(big, small), min(big, small)), rel=1e-12)
+    assert np.allclose(np.abs(v_hi if sign > 0 else v_lo), [1.0, 1e-12], rtol=1e-9, atol=0.0)
+
+
 def test_eigensolver_scalar_matrix():
     (hi, v_hi), (lo, v_lo) = symmetric_eigensolver_2x2([[2.0, 0.0], [0.0, 2.0]])
     assert hi == lo == 2.0
@@ -393,7 +402,7 @@ def test_eigensolver_rejects_asymmetric_input():
 def test_eigensolver_checks_symmetry_relative_to_the_largest_entry():
     # Off-diagonals 1e-10 apart relative to the 1e20 entry are symmetric within rounding.
     (hi, _), (lo, _) = symmetric_eigensolver_2x2([[1e20, 1e8], [1e8 + 0.01, 1.0]])
-    assert hi == 1e20 and abs(lo) <= 1e20 * 1e-15
+    assert hi == 1e20 and lo == pytest.approx(1.0 - 1e-4, rel=1e-12)
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigensolver_2x2([[1.0, 0.0], [0.5, 1.0]])
 

@@ -206,7 +206,7 @@ def test_a_chain_refuses_exactly_the_impossible_outcomes_at_its_angles_scale():
     # theta2 = theta1 + k pi: for odd k the outcome that repeats the first is impossible, for even k the other one.
     # The rounding of theta1 leaves it a residue near ulp(theta1)^2 even where theta2 is small.
     rng = random.Random(2024)
-    cases = [(1e6 + 0.3, -318_310), (1e6 + 0.3, 1), (0.7, 5), (2.0**50 + 0.75, -(2**50 // 3))]
+    cases = [(1e6 + 0.3, -318_310), (1e6 + 0.3, 1), (0.7, 5)]
     cases += [(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 9), rng.randint(-10**6, 10**6)) for _ in range(2000)]
     for first, k in cases:
         second = first + k * math.pi
@@ -216,6 +216,32 @@ def test_a_chain_refuses_exactly_the_impossible_outcomes_at_its_angles_scale():
             impossible, certain = (repeated, 3 - repeated) if k % 2 else (3 - repeated, repeated)
             assert type(row[impossible]) is str, (first, k)
             assert 1.0 - row[certain].probability <= max(floor, 1e-15), (first, k)
+
+
+@pytest.mark.parametrize("thetas, seed, outcomes", [
+    ([2.0**50 + 0.75, 1.0], 15, [-1, 1]),  # step 2 draws +1 at p = 0.018
+    ([1e16], 0, [-1]),
+    ([1e16], 1, [1]),  # p = 0.187
+], ids=["2^50_then_1", "1e16_seed_0", "1e16_seed_1"])
+def test_a_likely_outcome_at_an_angle_past_2_to_the_33_is_observed_not_refused(thetas, seed, outcomes):
+    # The angle's spacing squared passes 1e-12 from |theta| = 2^33; the floor stays at 1e-12 there.
+    table = transition_table(SPIN_UP, thetas)
+    for step in table:
+        for row in step:
+            assert all(isinstance(outcome, MeasurementOutcome) for outcome in row[1:]), row
+    trajectory = sequential_chain(table, seed)
+    assert [step.eigenvalue for step in trajectory] == outcomes
+    assert min(step.probability for step in trajectory) > 0.01
+    assert spin._residue_floor(thetas[-1], thetas[0]) == spin.NORM_TOL
+
+
+def test_a_chain_seed_must_be_an_int():
+    # random.Random seeds a str from its SHA-512 and the C class from its per-process hash.
+    table = transition_table(SPIN_UP, [1.0])
+    assert sequential_chain(table, True) == sequential_chain(table, 1)
+    for seed in ("7", b"7", 7.0, None):
+        with pytest.raises(TypeError):
+            sequential_chain(table, seed)
 
 
 @given(
@@ -282,7 +308,8 @@ def test_x_then_z_chain_final_frequency():
 def reference_chain(initial, thetas, seed):
     """The chain's seed contract written out step by step: one draw per step, +1 iff below p_plus.
 
-    An outcome is refused at p <= ulp(max(|previous angle|, |angle|, pi))^2; collapse knows only the angle.
+    An outcome is refused at p <= min(ulp(max(|previous angle|, |angle|, pi))^2, 1e-12); collapse knows
+    only the angle.
     """
     rng = random.Random(seed)
     state, previous = initial, 0.0
@@ -292,8 +319,9 @@ def reference_chain(initial, thetas, seed):
         p_plus, p_minus = probabilities(state, obs)
         outcome = 1 if rng.random() < p_plus else -1
         p, unit = (p_plus if outcome == 1 else p_minus), math.ulp(max(abs(previous), abs(theta), math.pi))
-        if p <= unit * unit:
-            raise ValueError(spin._refusal(outcome, p, unit * unit))
+        floor = min(unit * unit, 1e-12)
+        if p <= floor:
+            raise ValueError(spin._refusal(outcome, p, floor))
         state, previous = collapse(state, obs, outcome), theta
         trajectory.append(MeasurementOutcome(outcome, p, state))
     return trajectory
@@ -327,7 +355,7 @@ initial_states = st.one_of(
     thetas=angle_pool.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),
     seed=st.integers(min_value=0, max_value=2**64),
 )
-@example(initial=SPIN_UP, thetas=[2.0**50 + 0.75, 1.0], seed=15)  # p = 0.018 at step 2 is below ulp(2^50)^2
+@example(initial=SPIN_UP, thetas=[2.0**50 + 0.75, 1.0], seed=15)  # step 2 observes +1 at p = 0.018
 def test_chain_follows_the_per_step_seed_contract(initial, thetas, seed):
     table = transition_table(initial, thetas)
     for trial_seed in (seed, seed + 1, seed):  # the repeat samples the same table with the same seed
