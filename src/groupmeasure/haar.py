@@ -8,8 +8,10 @@ gives this canonical coordinate u: x for translation, log x for scale, a GK15
 table over the interval for a custom law.  A built-in's table is one exact panel.
 A custom table also keeps, for each panel, the Chebyshev series of u from the
 panel's left edge: the antiderivative of the degree-14 polynomial through the
-weight at the panel's 15 Kronrod nodes.  Its cdf and quantile read that series,
-within the table's 1e-10 tolerance, and call the law no more.
+weight at the panel's 15 Kronrod nodes.  Its cdf reads that series, within the
+table's 1e-10 tolerance, and calls the law no more; its quantile takes ITP steps
+on the same series, inside the panel that holds the level, until the cdf at x is
+within one ulp of the level or the bracket is 1e-12 wide.
 
 This module is floating point (binary64) throughout; tolerances are
 declared per operation.  Everything is pure and immutable; sampling is
@@ -23,17 +25,17 @@ import functools
 import heapq
 import itertools
 import math
-import random
 from collections import namedtuple
 from operator import mul
 from typing import Callable
 
-from .record import Record
+from .record import Record, uniform_stream
 
 _COMPLEX_STEP = 2.0**-100  # a power of two, so that dividing it out is exact
-_FD_STEP = float(2.0**-52) ** (1.0 / 3.0)  # cbrt of machine epsilon
+_EPS = 2.0**-52
+_FD_STEP = _EPS ** (1.0 / 3.0)  # cbrt of machine epsilon
 _QUAD_REL_TOL = 1e-10
-_FD_NOISE_CAP = 1e-6  # a central-difference weight noisier than this is refused at the budget, as before
+_FD_NOISE_CAP = 1e-6  # a central-difference weight noisier than this is refused
 _QUAD_BUDGET = 15 * 10_000  # weight evaluations per custom density
 _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
@@ -41,8 +43,9 @@ _PROBE_POINTS = (0.5, 1.0, 2.0)
 
 # A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, node values),
 # the node values None for an exact panel; point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form,
-# or ITP steps on cdf for a custom table); affine(a, b): does a*x + b keep d in the family?  noise(f, c) is the
-# weight's relative noise over c, 0 but for a central difference; a table's tolerance is never below it.
+# or ITP steps on the panel's series for a custom table); affine(a, b): does a*x + b keep d in the family?
+# noise(f, c) is the weight's relative noise over c, 0 but for a central difference; a table's tolerance is
+# never below it.
 _Chart = namedtuple("_Chart", "name form weight panel point affine noise")
 
 
@@ -165,16 +168,17 @@ class NormalizedDensity(Record):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {q}")
         lo, hi = self.support.lower, self.support.upper
-        if q == 0.0 or q == 1.0:  # the closed forms round at the ends, the ITP steps stop short
+        if q == 0.0 or q == 1.0:  # the closed forms round at the ends, the ITP steps stop inside the panel
             return hi if q else lo
         return min(max(self.family.chart.point(self, q), lo), hi)  # rounding can step outside the support
 
     def sample(self, seed: int, n: int) -> list[float]:
-        """Inverse-transform sampling; deterministic given the seed."""
+        """Inverse-transform sampling of ``uniform_stream(seed)``, the draws of ``random.Random(seed)``; the seed
+        must be an int."""
         if n < 1:
             raise ValueError(f"sample count must be at least 1, got {n}")
-        rng = random.Random(seed)
-        return [self.quantile(rng.random()) for _ in range(n)]
+        draw = uniform_stream(seed)
+        return [self.quantile(draw()) for _ in range(n)]
 
     def pushforward_affine(self, a: float, b: float) -> NormalizedDensity:
         """Density of y = a*x + b, where the family's chart accepts the map.
@@ -239,11 +243,20 @@ def _scale_point(d: NormalizedDensity, q: float) -> float:
 
 
 def _rate_weight(f: OneParamFamily, p: float) -> float:
-    """1 / rate, by the complex step Im compose(p, e + ih) / h, or by a central difference if b cannot be complex."""
+    """1 / rate, by the complex step Im compose(p, e + ih) / h, or by a central difference if b cannot be complex.
+
+    The difference's rounding, eps (|phi(p, e + h)| + |phi(p, e - h)|) / 2h, is the same at every node, so
+    neither the quadrature's error estimate nor the noise floor sees it: past _FD_NOISE_CAP of the rate, it
+    is refused."""
     try:
         rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
     except TypeError:
-        rate = _central_rate(f, p, _FD_STEP * max(abs(f.identity), 1.0))
+        h = _FD_STEP * max(abs(f.identity), 1.0)
+        above, below = f.compose(p, f.identity + h), f.compose(p, f.identity - h)
+        rate, rounding = (above - below) / (2.0 * h), _EPS * (abs(above) + abs(below)) / (2.0 * h)
+        if rounding > _FD_NOISE_CAP * rate > 0.0:
+            raise ValueError(f"central difference at p={p} has relative rounding bound {rounding / rate:.3g} "
+                             f"> {_FD_NOISE_CAP:g}; write the law with cmath so that it takes the complex step")
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
@@ -270,14 +283,27 @@ def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
 
 
 def _itp_point(d: NormalizedDensity, q: float) -> float:
-    """Root of cdf(x) - q in the table's panel that holds q * normalizer, by ITP steps (Oliveira and
-    Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / width, kappa2 = 2): false position, moved
-    kappa1 * (hi - lo)**2 toward the midpoint, then kept within reach - (hi - lo) / 2 of it, where
-    reach starts at the panel width and halves each step.  So the bracket after step j is at most
-    width / 2**j wide, and the _BISECT_WIDTH stop comes at most one step after halving's."""
+    """Root of cdf(x) - q in the table's panel that holds q * normalizer, by ``_itp_root``.  Strictly inside
+    the panel, the residual is cdf(x) - q to the bit, read from the panel's series without re-entering cdf."""
     i = min(bisect.bisect_right(d.cumulative, q * d.normalizer), len(d.edges) - 1) - 1
     lo, hi = d.edges[i], d.edges[i + 1]
-    y_lo, y_hi = d.cumulative[i] / d.normalizer - q, d.cumulative[i + 1] / d.normalizer - q
+    series, below, normalizer = d.series[i], d.cumulative[i], d.normalizer
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def residual(x: float) -> float:
+        return min(1.0, max(0.0, (below + half * _chebyshev_sum(series, (x - center) / half)) / normalizer)) - q
+
+    return _itp_root(residual, lo, hi, below / normalizer - q, d.cumulative[i + 1] / normalizer - q, math.ulp(q))
+
+
+def _itp_root(residual: Callable[[float], float], lo: float, hi: float, y_lo: float, y_hi: float,
+              floor: float) -> float:
+    """Root of the increasing residual in [lo, hi], where it is y_lo <= 0 <= y_hi, by ITP steps (Oliveira
+    and Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / width, kappa2 = 2): false position, moved
+    kappa1 * (hi - lo)**2 toward the midpoint, then kept within reach - (hi - lo) / 2 of it, where
+    reach starts at the width and halves each step.  So the bracket after step j is at most
+    width / 2**j wide, and the _BISECT_WIDTH stop comes at most one step after halving's.  A step
+    whose |residual| is at most floor is the root: past it, the steps would halve on rounding noise."""
     kappa, reach = 0.2 / (hi - lo), hi - lo
     while hi - lo > _BISECT_WIDTH:
         mid, radius, delta = 0.5 * (lo + hi), reach - 0.5 * (hi - lo), kappa * (hi - lo) * (hi - lo)
@@ -286,7 +312,9 @@ def _itp_point(d: NormalizedDensity, q: float) -> float:
         x = min(max(x, mid - radius), mid + radius)
         if not lo < x < hi:  # the step left the bracket, or no float lies strictly inside it
             x = mid
-        y = d.cdf(x) - q
+        y = residual(x)
+        if abs(y) <= floor:
+            return x
         if y < 0:
             lo, y_lo = x, y
         else:

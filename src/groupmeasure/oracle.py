@@ -1,5 +1,5 @@
 """Independent verification: exhaustive checks, quadrature, a generic eigensolver,
-and statistical frequency tests.
+and a spin chain checked against its closed form.
 
 Nothing here reuses the computation paths it is meant to check: die
 orientations come from a brute-force pair filter rather than rotation
@@ -329,30 +329,6 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
     return (hi, (x, y)), (lo, (-y, x))
 
 
-def frequency_test(
-    sampler: Callable[[int], object],
-    event: Callable[[object], bool],
-    p_expected: float,
-    n: int,
-    name: str = "frequency",
-) -> CheckReport:
-    """Pass iff the empirical event frequency is within 4 binomial standard errors."""
-    if n < 1_000:
-        raise ValueError(f"need at least 1000 trials for a frequency test, got {n}")
-    if not 0.0 < p_expected < 1.0:
-        raise ValueError(f"expected probability must lie strictly in (0, 1), got {p_expected}")
-    hits = sum(1 for i in range(n) if event(sampler(i)))
-    empirical = hits / n
-    bound = 4.0 * math.sqrt(p_expected * (1.0 - p_expected) / n)
-    deviation = abs(empirical - p_expected)
-    return CheckReport(
-        name=name,
-        passed=deviation <= bound,
-        worst_residual=deviation,
-        details=f"empirical {empirical:.5f} vs {p_expected:.5f}, bound {bound:.5f}",
-    )
-
-
 def render_reports(reports: Iterable[CheckReport]) -> str:
     return "\n".join(r.line() for r in reports) + "\n"
 
@@ -417,8 +393,15 @@ def selftest() -> list[CheckReport]:
         )
     reports.append(CheckReport("eigensolver-cross-check", worst <= 1e-12, worst))
 
+    # Spin up measured along x: the chain's exact value is cos^2(pi/4), and 20 000 trials count +1 near it.
     table = spin.transition_table(spin.SPIN_UP, [math.pi / 2])
-    chain = lambda i: spin.sequential_chain(table, 1_000 + i)[-1].eigenvalue
-    reports.append(frequency_test(chain, lambda v: v == 1, 0.5, 20_000, name="spin-frequency"))
+    exact, trials = spin.final_plus_probability(table), 20_000
+    plus = sum(spin.sequential_chain(table, 1_000 + i)[-1].eigenvalue == 1 for i in range(trials))
+    z = (plus - trials * exact) / math.sqrt(trials * exact * (1.0 - exact))
+    closed_form = abs(exact - math.cos(math.pi / 4) ** 2)
+    reports.append(CheckReport(
+        "spin-frequency", closed_form <= 1e-15 and abs(z) <= 4.0, abs(plus / trials - exact),
+        f"empirical {plus / trials:.5f} vs exact {exact:.5f}, z={z:.3f}, exact - cos^2(pi/4) = {closed_form:.3g}",
+    ))
     reports += [verify_action(coin_action()), verify_action(die_action())]
     return reports

@@ -1,14 +1,19 @@
-"""Immutable value records: the base of every result and parameter type in the package.
+"""Immutable value records, the base of every result and parameter type in the package, and its RNG contract.
 
 A subclass names its fields in ``__slots__`` and stores them from its own
 ``__init__`` with ``object.__setattr__``, after checking them.  ``Record``
 compares, hashes, orders and prints instances by those fields, in slot order,
 and refuses any later assignment or deletion.
+
+Every seeded draw in the package, a spin chain's trial and a density's sample,
+reads ``uniform_stream(seed)``: the uniform draws of ``random.Random(seed)``.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+import _random
+from collections.abc import Callable
+from operator import attrgetter, index
 
 
 class Record:
@@ -42,3 +47,14 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
+
+
+def uniform_stream(seed: int) -> Callable[[], float]:
+    """The ``random()`` of ``_random.Random(seed)``, the C Mersenne Twister under ``random.Random``.
+
+    ``random.Random.seed`` hands an int seed unchanged to this C class, so the draws are those
+    of ``random.Random(seed)`` bit for bit, without the Python wrappers' cost.  The seed must be
+    an int: ``random.Random`` seeds a str or bytes from its SHA-512, which the C class does not,
+    so any other type is a TypeError.
+    """
+    return _random.Random(index(seed)).random

@@ -6,18 +6,16 @@ phase; the stored representative follows one phase convention (first
 nonzero component real and nonnegative) so outputs are deterministic.
 A chain's caller builds its table once with ``transition_table(initial,
 thetas)``, and each trial samples it with ``sequential_chain(table, seed)``.
-A trial draws from ``_random.Random(seed)``, the C Mersenne Twister under
-``random.Random``, whose stream for an int seed it equals bit for bit.
+A trial draws from ``record.uniform_stream(seed)``, the stream of
+``random.Random(seed)`` for an int seed.
 """
 
 from __future__ import annotations
 
-import _random
 import math
-import operator
 from collections.abc import Sequence
 
-from .record import Record
+from .record import Record, uniform_stream
 
 NORM_TOL = 1e-12
 EIGENVALUE_UNIT = "hbar/2"
@@ -172,14 +170,11 @@ def final_plus_probability(table: tuple) -> float:
 def sequential_chain(table: tuple, seed: int) -> list[MeasurementOutcome]:
     """One trial of a chain: measure at each angle of the table in order, sampling and collapsing.
 
-    ``_random.Random(seed)`` draws once per step, and the outcome is +1 iff the draw
+    ``uniform_stream(seed)`` draws once per step, and the outcome is +1 iff the draw
     is below p_plus; each step records the probability of the observed eigenvalue.
-    ``random.Random.seed`` hands an int seed unchanged to this C class, so the draws
-    are those of ``random.Random(seed)``, without the Python wrappers' cost.  The seed
-    must be an int: ``random.Random`` seeds a str or bytes from its SHA-512, which the
-    C class does not, so any other type is a TypeError.
+    The seed must be an int, as ``uniform_stream`` says.
     """
-    draw = _random.Random(operator.index(seed)).random
+    draw = uniform_stream(seed)
     trajectory: list[MeasurementOutcome] = []
     row = 0
     for step in table:

@@ -3,13 +3,13 @@ import cmath
 import math
 import random
 import statistics
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deadlines import deadline
+from groupmeasure import haar
 from groupmeasure.haar import (
     CUSTOM,
     IntervalConstraint,
@@ -110,6 +110,22 @@ def test_a_finite_difference_law_normalizes_at_its_own_noise_floor():
             d = normalize(family, IntervalConstraint(lower, upper))
         exact = math.sinh(upper) - math.sinh(lower)
         assert abs(d.normalizer - exact) <= 1e-8 * exact, (lower, upper)
+
+
+@pytest.mark.parametrize("lower, bound", [(1e6, "3.67e-05"), (1e8, "0.00367")])
+def test_a_central_difference_whose_rounding_bound_passes_the_noise_cap_is_refused(lower, bound):
+    # Each difference carries a rounding error of about eps |phi| / h at every node alike, which neither
+    # the error estimate nor the noise floor sees: at 1e8 the normalizer was 9.2e-4 off, silently.
+    family = custom_family(lambda a, b: a + math.tanh(b), 0.0)
+    with deadline(1.0), pytest.raises(ValueError, match=f"relative rounding bound {bound} > 1e-06"):
+        normalize(family, IntervalConstraint(lower, lower + 1.0))
+
+
+def test_a_central_difference_within_its_rounding_bound_still_normalizes():
+    family = custom_family(lambda a, b: a + math.tanh(b), 0.0)
+    with deadline(1.0):
+        d = normalize(family, IntervalConstraint(1e3, 1e3 + 1.0))
+    assert abs(d.normalizer - 1.0) <= 3.7e-8  # the bound there; the 40 asinh intervals above pass too
 
 
 def test_the_noise_floor_is_0_for_the_complex_step_and_capped_for_a_central_difference():
@@ -362,6 +378,23 @@ def test_quantile_level_must_be_in_unit_interval():
     d = normalize(TRANSLATION, IntervalConstraint(0.0, 1.0))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         d.quantile(1.5)
+
+
+@pytest.mark.parametrize("family", [TRANSLATION, SCALE, custom_family(lambda a, b: a * b, 1.0)],
+                         ids=["translation", "scale", "custom"])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, -5])
+def test_a_sample_is_the_quantiles_of_the_seeds_random_stream(family, seed):
+    d = normalize(family, IntervalConstraint(1.0, 9.0))
+    rng = random.Random(seed)
+    assert d.sample(seed, 3) == [d.quantile(rng.random()) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", ["7", b"7", 7.0, None])
+def test_a_sample_seed_must_be_an_int(seed):
+    # random.Random seeds a str from its SHA-512 and a float from its hash; a chain's seed is refused the same way.
+    d = normalize(SCALE, IntervalConstraint(1.0, 9.0))
+    with pytest.raises(TypeError):
+        d.sample(seed, 3)
 
 
 def test_custom_family_density_cdf_quantile():
@@ -624,13 +657,13 @@ def test_a_custom_quantile_reads_few_panels_and_never_many_more_than_halving(law
     compose, identity, _ = CUSTOM_LAWS[law]
     family = custom_family(compose, identity)
     calls = []
-    counted = NormalizedDensity.cdf
+    counted = haar._chebyshev_sum
 
-    def cdf(self, x):
-        calls.append(x)
-        return counted(self, x)
+    def chebyshev_sum(series, t):
+        calls.append(t)
+        return counted(series, t)
 
-    monkeypatch.setattr(NormalizedDensity, "cdf", cdf)
+    monkeypatch.setattr(haar, "_chebyshev_sum", chebyshev_sum)
     rng = random.Random(17)
     shares = []
     for lo, hi in [(1.0, 4.0), (0.5, 2.0), (1.0, 50.0), (0.02, 1.0), (20.0, 1000.0), (0.001, 0.05)]:
@@ -648,6 +681,19 @@ def test_a_custom_quantile_reads_few_panels_and_never_many_more_than_halving(law
     assert statistics.median(shares) <= 1.0 / 3.0
 
 
+@pytest.mark.parametrize("law", sorted(CUSTOM_QUANTILES))
+def test_a_custom_quantile_reads_its_panel_series_and_never_calls_cdf(law, monkeypatch):
+    compose, identity, _ = CUSTOM_LAWS[law]
+    d = normalize(custom_family(compose, identity), IntervalConstraint(1.0, 50.0))
+    calls = []
+    counted = NormalizedDensity.cdf
+    monkeypatch.setattr(NormalizedDensity, "cdf", lambda self, x: calls.append(x) or counted(self, x))
+    for q in _quantile_levels(d, random.Random(5)):
+        found = d.quantile(q)
+        assert abs(found - CUSTOM_QUANTILES[law](1.0, 50.0, q)) <= 1e-9 * 49.0, q
+    assert calls == []
+
+
 # Monotone cdfs on [0, 1] on which false position moves one end by a sliver per step: cdf, root of cdf = q.
 CRAWLING_CDFS = {
     "x**k": (lambda x, k: x**k, lambda q, k: q ** (1.0 / k)),
@@ -662,10 +708,13 @@ def test_the_custom_point_keeps_its_step_bound_where_false_position_crawls(shape
     # Without the projection into the shrinking radius, the steps took up to 362 panels here.
     cdf, root = CRAWLING_CDFS[shape]
     calls = []
-    one_panel = SimpleNamespace(edges=(0.0, 1.0), cumulative=(0.0, 1.0), normalizer=1.0,
-                                cdf=lambda x: calls.append(x) or cdf(x, k))
+
+    def residual(x):
+        calls.append(x)
+        return cdf(x, k) - q
+
     with deadline(1.0):
-        found = CUSTOM.point(one_panel, q)
+        found = haar._itp_root(residual, 0.0, 1.0, -q, 1.0 - q, math.ulp(q))
     assert abs(found - root(q, k)) <= 1e-11
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 1
 

@@ -1,6 +1,5 @@
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ from groupmeasure.oracle import (
     CheckReport,
     cube_rotation_census,
     enumerate_die_orientations,
-    frequency_test,
     integrate,
     symmetric_eigensolver_2x2,
     verify_action,
@@ -436,28 +434,6 @@ def test_eigensolver_reconstructs_matrix(a, b, c):
     assert abs(float(np.dot(v_hi, v_lo))) <= 1e-9
     rebuilt = hi * np.outer(v_hi, v_hi) + lo * np.outer(v_lo, v_lo)
     assert np.allclose(rebuilt, m, atol=1e-9)
-
-
-def test_frequency_test_fair_coin_passes():
-    rng = random.Random(123)
-    flips = [rng.random() < 0.5 for _ in range(100_000)]
-    report = frequency_test(lambda i: flips[i], lambda v: v, 0.5, 100_000)
-    assert report.passed, report.line()
-
-
-def test_frequency_test_constant_sampler_fails():
-    report = frequency_test(lambda i: 1, lambda v: v == 1, 0.5, 10_000)
-    assert not report.passed
-
-
-def test_frequency_test_requires_enough_trials():
-    with pytest.raises(ValueError, match="1000"):
-        frequency_test(lambda i: 1, lambda v: True, 0.5, 10)
-
-
-def test_frequency_test_requires_nondegenerate_probability():
-    with pytest.raises(ValueError, match="strictly"):
-        frequency_test(lambda i: 1, lambda v: True, 1.0, 10_000)
 
 
 def test_check_report_line_format():

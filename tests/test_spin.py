@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from groupmeasure import spin
-from groupmeasure.oracle import frequency_test, symmetric_eigensolver_2x2
+from groupmeasure.oracle import symmetric_eigensolver_2x2
 from groupmeasure.spin import (
     SPIN_DOWN,
     SPIN_UP,
@@ -18,6 +17,7 @@ from groupmeasure.spin import (
     amplitudes,
     collapse,
     eigensystem,
+    final_plus_probability,
     observable,
     probabilities,
     sequential_chain,
@@ -300,9 +300,10 @@ def test_chain_is_deterministic_per_seed():
 def test_x_then_z_chain_final_frequency():
     # P(final +1) = 1/2 * 1/2 + 1/2 * 1/2 by the chain rule.
     table = transition_table(SPIN_UP, [math.pi / 2.0, 0.0])
-    sampler = lambda i: sequential_chain(table, seed=5_000 + i)[-1]
-    report = frequency_test(sampler, lambda t: t.eigenvalue == 1, 0.5, 20_000)
-    assert report.passed, report.line()
+    exact, trials = final_plus_probability(table), 20_000
+    assert abs(exact - (math.cos(math.pi / 4) ** 4 + math.sin(math.pi / 4) ** 4)) <= 1e-15
+    plus = sum(sequential_chain(table, seed=5_000 + i)[-1].eigenvalue == 1 for i in range(trials))
+    assert abs(plus - trials * exact) <= 4.0 * math.sqrt(trials * exact * (1.0 - exact))
 
 
 def reference_chain(initial, thetas, seed):
@@ -367,14 +368,7 @@ def test_sampled_impossible_outcome_raises_the_collapse_error(monkeypatch):
     with pytest.raises(ValueError) as expected:
         collapse(SPIN_UP, observable(math.pi), 1)
 
-    class DrawsZero:
-        def __init__(self, seed):
-            pass
-
-        def random(self):
-            return 0.0
-
-    monkeypatch.setattr(spin, "_random", SimpleNamespace(Random=DrawsZero))
+    monkeypatch.setattr(spin, "uniform_stream", lambda seed: lambda: 0.0)  # every draw is 0.0
     table = transition_table(SPIN_UP, [math.pi])
     for _ in range(2):
         with pytest.raises(ValueError, match="has probability 0") as raised:
