@@ -38,7 +38,7 @@ def render(report: Report, fmt: str = "table") -> str:
     """Render a report as aligned text, one JSON object, or CSV rows.
 
     Finite kinds list their outcomes and the others their records; every format lays out
-    the same ``(name, columns, rows)``, and a report without rows shows only its summary.
+    the same ``(name, columns, rows)``.
     """
     if report.outcomes is not None:
         name, columns, rows = "outcomes", ("label", "probability"), report.outcomes.outcomes
@@ -50,14 +50,11 @@ def render(report: Report, fmt: str = "table") -> str:
 
         doc: dict[str, Any] = {"kind": report.kind}
         doc.update((key, _json_value(value)) for key, value in report.summary)
-        if rows:
-            doc[name] = [{col: _json_value(v) for col, v in zip(columns, row)} for row in rows]
+        doc[name] = [{col: _json_value(v) for col, v in zip(columns, row)} for row in rows]
         # The one value JSON cannot hold, an exact rational Fraction, is written as its "p/q" string.
         return json.dumps(doc, indent=2, default=str) + "\n"
 
     if fmt == "csv":
-        if not rows:
-            columns, rows = ("key", "value"), report.summary
         lines = [",".join(columns)]
         lines.extend(",".join(_text_value(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
@@ -67,12 +64,11 @@ def render(report: Report, fmt: str = "table") -> str:
 
     lines = [f"kind: {report.kind}"]
     lines.extend(f"{key}: {_text_value(value)}" for key, value in report.summary)
-    if rows:
-        header = ("outcome", "probability") if name == "outcomes" else columns
-        cells = [header] + [tuple(_text_value(v) for v in row) for row in rows]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        lines.append("")
-        lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
+    header = ("outcome", "probability") if name == "outcomes" else columns
+    cells = [header] + [tuple(_text_value(v) for v in row) for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines.append("")
+    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
     return "\n".join(lines) + "\n"
 
 
@@ -148,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             from . import oracle
 
             reports = oracle.selftest()
-            _emit(oracle.render_reports(reports), args.out)
+            _emit("\n".join(r.line() for r in reports) + "\n", args.out)
             return 0 if all(r.passed for r in reports) else 1
         scenario = _scenario_from_args(args)
         report = run(scenario)

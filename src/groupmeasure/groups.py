@@ -2,11 +2,13 @@
 
 Elements are opaque integer ids 0..n-1.  All constructors return fully
 materialized tables so that the group axioms can be checked exhaustively.
+Each constructor names its identity, which it knows from how it builds the
+table: 0 for the cyclic, dihedral and coin groups, the pair of identities for
+a direct product, the identity matrix's index for the octahedral group.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cache
 
 from .record import Record
@@ -70,19 +72,6 @@ class FiniteGroup(Record):
         return census
 
 
-def _from_table(label: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Finish a constructor: locate the two-sided identity."""
-    rows = tuple(map(tuple, table))
-    elements = tuple(range(len(rows)))
-    identity = next(
-        (e for e, row in enumerate(rows) if row == elements and all(r[e] == x for x, r in enumerate(rows))),
-        None,
-    )
-    if identity is None:
-        raise ValueError(f"{label}: composition table has no two-sided identity")
-    return FiniteGroup(label, rows, identity)
-
-
 def _rotate(block: tuple[int, ...], shift: int) -> tuple[int, ...]:
     return block[shift:] + block[:shift]
 
@@ -95,7 +84,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group order must be at least 1, got {n}")
     elements = tuple(range(n))
-    return _from_table(f"C{n}", [_rotate(elements, i) for i in range(n)])
+    return FiniteGroup(f"C{n}", tuple(_rotate(elements, i) for i in range(n)), 0)
 
 
 def make_dihedral(k: int) -> FiniteGroup:
@@ -108,13 +97,13 @@ def make_dihedral(k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError(f"dihedral parameter must be at least 1, got {k}")
     blocks = (tuple(range(k)), tuple(range(k, 2 * k)))
-    table = [_rotate(blocks[s], t) + _rotate(blocks[1 - s], -t % k) for s in (0, 1) for t in range(k)]
-    return _from_table(f"D{k}", table)
+    table = tuple(_rotate(blocks[s], t) + _rotate(blocks[1 - s], -t % k) for s in (0, 1) for t in range(k))
+    return FiniteGroup(f"D{k}", table, 0)
 
 
 def make_coin_group() -> FiniteGroup:
     """Order-2 group of a coin lying flat: identity (full turn) and the flip (half turn)."""
-    return _from_table("coin", [[0, 1], [1, 0]])
+    return FiniteGroup("coin", ((0, 1), (1, 0)), 0)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -131,8 +120,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
             row: list[int] = []
             for c in g_row:
                 row += row_blocks[c]
-            table.append(row)
-    return _from_table(f"{g.label}x{h.label}", table)
+            table.append(tuple(row))
+    return FiniteGroup(f"{g.label}x{h.label}", tuple(table), g.identity * m + h.identity)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -167,5 +156,5 @@ def make_octahedral() -> FiniteGroup:
     """Rotation group of the cube, order 24; composition table from 3-D rotation composition."""
     mats = octahedral_matrices()
     index = {m: i for i, m in enumerate(mats)}
-    table = [[index[mat_mul(a, b)] for b in mats] for a in mats]
-    return _from_table("O", table)
+    table = tuple(tuple([index[mat_mul(a, b)] for b in mats]) for a in mats)
+    return FiniteGroup("O", table, index[((1, 0, 0), (0, 1, 0), (0, 0, 1))])

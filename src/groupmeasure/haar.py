@@ -94,9 +94,6 @@ class IntervalConstraint(Record):
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
 
 def haar_weight(f: OneParamFamily, p: float) -> float:
     """Left-invariant weight at parameter p: the derivative of f's canonical coordinate, from its chart."""
@@ -116,9 +113,8 @@ class NormalizedDensity(Record):
 
     __slots__ = ("family", "support", "normalizer", "edges", "cumulative", "series")
 
-    def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float,
-                 edges: tuple[float, ...] = (), cumulative: tuple[float, ...] = (),
-                 series: tuple[tuple[float, ...], ...] = ()) -> None:
+    def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float, edges: tuple[float, ...],
+                 cumulative: tuple[float, ...], series: tuple[tuple[float, ...], ...]) -> None:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "normalizer", normalizer)
@@ -135,7 +131,7 @@ class NormalizedDensity(Record):
         """Normalized weight at x, 0 outside the support; ValueError at nan or where it overflows binary64."""
         if math.isnan(x):
             raise ValueError("density at x=nan is undefined")
-        if not self.support.contains(x):
+        if not self.support.lower <= x <= self.support.upper:
             return 0.0
         value = haar_weight(self.family, x) / self.normalizer
         if not math.isfinite(value):
@@ -242,6 +238,12 @@ def _scale_point(d: NormalizedDensity, q: float) -> float:
     return math.exp(min(math.log(lo) + q * d.normalizer, math.log(hi)))
 
 
+def _central_difference(f: OneParamFamily, p: float, h: float) -> tuple[float, float]:
+    """The rate by central difference at step h, and its rounding bound eps (|phi(p, e + h)| + |phi(p, e - h)|) / 2h."""
+    above, below = f.compose(p, f.identity + h), f.compose(p, f.identity - h)
+    return (above - below) / (2.0 * h), _EPS * (abs(above) + abs(below)) / (2.0 * h)
+
+
 def _rate_weight(f: OneParamFamily, p: float) -> float:
     """1 / rate, by the complex step Im compose(p, e + ih) / h, or by a central difference if b cannot be complex.
 
@@ -251,19 +253,13 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
     try:
         rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
     except TypeError:
-        h = _FD_STEP * max(abs(f.identity), 1.0)
-        above, below = f.compose(p, f.identity + h), f.compose(p, f.identity - h)
-        rate, rounding = (above - below) / (2.0 * h), _EPS * (abs(above) + abs(below)) / (2.0 * h)
+        rate, rounding = _central_difference(f, p, _FD_STEP * max(abs(f.identity), 1.0))
         if rounding > _FD_NOISE_CAP * rate > 0.0:
             raise ValueError(f"central difference at p={p} has relative rounding bound {rounding / rate:.3g} "
                              f"> {_FD_NOISE_CAP:g}; write the law with cmath so that it takes the complex step")
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
-
-
-def _central_rate(f: OneParamFamily, p: float, h: float) -> float:
-    return (f.compose(p, f.identity + h) - f.compose(p, f.identity - h)) / (2.0 * h)
 
 
 def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
@@ -279,7 +275,8 @@ def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
         return 0.0
     h = _FD_STEP * max(abs(f.identity), 1.0)
     nodes = [center, *(center + side * half * x for x, _, wg in _GK15 if wg for side in (-1.0, 1.0))]
-    return min(_FD_NOISE_CAP, max(abs(1.0 - _central_rate(f, p, 2.0 * h) / _central_rate(f, p, h)) for p in nodes))
+    ratios = (_central_difference(f, p, 2.0 * h)[0] / _central_difference(f, p, h)[0] for p in nodes)
+    return min(_FD_NOISE_CAP, max(abs(1.0 - r) for r in ratios))
 
 
 def _itp_point(d: NormalizedDensity, q: float) -> float:

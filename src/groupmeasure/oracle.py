@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter, ne
-from typing import Callable, Iterable
+from typing import Callable
 
 from .actions import DieOrientation, GroupAction, all_orientations, coin_action, die_action
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
@@ -327,10 +327,6 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
     # The second eigenvector is the quarter-turn of the first (same convention
     # as the spin module: right-handed orthonormal pair).
     return (hi, (x, y)), (lo, (-y, x))
-
-
-def render_reports(reports: Iterable[CheckReport]) -> str:
-    return "\n".join(r.line() for r in reports) + "\n"
 
 
 def selftest() -> list[CheckReport]:

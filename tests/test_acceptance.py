@@ -5,10 +5,12 @@ Each test prints one ``ACCEPTANCE <id>: PASS|FAIL`` line (visible with
 checklist and a gate.
 """
 
+import ast
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from groupmeasure.actions import DieOrientation, all_orientations, die_action, uniform_over_action
 from groupmeasure.cli import main
@@ -239,3 +241,25 @@ def test_12_group_axioms_and_octahedral_census():
     ok = ok and make_octahedral().order_census() == expected
     ok = ok and cube_rotation_census() == expected
     _verdict("12-group-axioms-census", ok)
+
+
+def _run_library_example() -> tuple[dict, list]:
+    """Run README's "Library example" block as written: its namespace, and each bare expression's value in order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_the_readme_library_example_gives_its_commented_results():
+    namespace, (density, median, trial) = _run_library_example()
+    assert namespace["joint"].probability("up3_north2") == Fraction(1, 24)
+    assert math.isclose(density, 1.0 / (1.5 * math.log(2.0)), rel_tol=1e-15, abs_tol=0.0)
+    assert median == math.sqrt(2.0)
+    assert trial == [1, 1]

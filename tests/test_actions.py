@@ -39,6 +39,11 @@ def test_orientation_label_roundtrip():
     assert DieOrientation.from_label(o.label) == o
 
 
+def test_a_label_that_names_no_orientation_is_refused():
+    with pytest.raises(ValueError, match="^not an orientation label: 'bogus'$"):
+        DieOrientation.from_label("bogus")
+
+
 def test_exactly_24_orientations_matching_oracle_enumeration():
     built = all_orientations()
     assert len(built) == 24

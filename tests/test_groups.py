@@ -6,7 +6,6 @@ import pytest
 from groupmeasure.actions import GroupAction
 from groupmeasure.groups import (
     FiniteGroup,
-    _from_table,
     direct_product,
     make_coin_group,
     make_cyclic,
@@ -215,10 +214,19 @@ def test_direct_product_matches_the_per_entry_definition(g, h):
     assert built(direct_product(g, h)) == expected
 
 
-@pytest.mark.parametrize("rows, words", [([[0, 1], [0, 0]], "t: composition table has no two-sided identity")])
-def test_tables_that_are_not_groups_are_refused(rows, words):
-    with pytest.raises(ValueError, match=f"^{words}$"):
-        _from_table("t", rows)
+def test_coin_group_matches_the_per_entry_definition():
+    assert built(make_coin_group()) == per_entry("coin", 2, lambda a, b: (a + b) % 2)
+
+
+def test_octahedral_matches_the_per_entry_definition():
+    mats = octahedral_matrices()
+    expected = per_entry("O", 24, lambda a, b: mats.index(mat_mul(mats[a], mats[b])))
+    assert built(make_octahedral()) == expected
+
+
+def test_the_order_of_an_element_that_generates_no_cycle_is_refused():
+    with pytest.raises(ValueError, match="^t: element 1 generates no cycle; table is not a group$"):
+        FiniteGroup("t", ((1, 1), (1, 1)), 0).element_order(1)
 
 
 @pytest.mark.parametrize(

@@ -207,6 +207,21 @@ def test_degenerate_interval_is_rejected():
         IntervalConstraint(3.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda: IntervalConstraint(math.nan, 1.0), "interval bounds must be finite"),
+        (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, 0), "sample count must be at least 1, got 0"),
+        (lambda: normalize(custom_family(lambda a, b: a - b, 0.0), IntervalConstraint(1.0, 2.0)),
+         r"composition rate -1\.0 at p=1\.5 gives no positive weight"),
+    ],
+    ids=["interval_bound_nan", "sample_count_zero", "custom_rate_negative"],
+)
+def test_a_call_outside_its_domain_is_refused_in_its_own_words(call, words):
+    with pytest.raises(ValueError, match=f"^{words}$"):
+        call()
+
+
 def test_jeffreys_density_value():
     d = normalize(SCALE, IntervalConstraint(1.0, 2.0))
     assert d.density_at(1.5) == pytest.approx(1.0 / (1.5 * math.log(2.0)), abs=1e-12)

@@ -50,6 +50,11 @@ def test_parse_rejects_unknown_kind():
             parse_scenario(doc)
 
 
+def test_a_document_without_a_kind_is_refused():
+    with pytest.raises(ScenarioError, match="^missing required key 'kind'$"):
+        scenario_from_dict({})
+
+
 def test_parse_reports_position_for_malformed_documents():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario('{"kind": "coin"')

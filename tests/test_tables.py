@@ -82,6 +82,11 @@ def test_int_probabilities_are_accepted_and_come_back_as_fractions():
         assert type(p) is Fraction
 
 
+def test_a_table_without_outcomes_is_refused():
+    with pytest.raises(ValueError, match="^probability table must have at least one outcome$"):
+        ProbabilityTable(())
+
+
 def test_uniform_table_without_labels_is_refused():
     # It used to fail with a ZeroDivisionError from Fraction(1, 0).
     with pytest.raises(ValueError, match="at least one label"):
