@@ -44,9 +44,7 @@ _PROBE_POINTS = (0.5, 1.0, 2.0)
 # A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, node values),
 # the node values None for an exact panel; point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form,
 # or ITP steps on the panel's series for a custom table); affine(a, b): does a*x + b keep d in the family?
-# noise(f, c) is the weight's relative noise over c, 0 but for a central difference; a table's tolerance is
-# never below it.
-_Chart = namedtuple("_Chart", "name form weight panel point affine noise")
+_Chart = namedtuple("_Chart", "name form weight panel point affine")
 
 
 class OneParamFamily(Record):
@@ -247,25 +245,28 @@ def _central_difference(f: OneParamFamily, p: float, h: float) -> tuple[float, f
 def _rate_weight(f: OneParamFamily, p: float) -> float:
     """1 / rate, by the complex step Im compose(p, e + ih) / h, or by a central difference if b cannot be complex.
 
-    The difference's rounding, eps (|phi(p, e + h)| + |phi(p, e - h)|) / 2h, is the same at every node, so
-    neither the quadrature's error estimate nor the noise floor sees it: past _FD_NOISE_CAP of the rate, it
-    is refused."""
+    The difference's rounding bound is the same at every node, so the quadrature's error estimate does not see
+    it: past _FD_NOISE_CAP of |rate| the node is refused, and below it the bound sets the table's noise floor,
+    ``_rate_noise``.  A law that overflows binary64 is refused at p."""
     try:
-        rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
-    except TypeError:
-        rate, rounding = _central_difference(f, p, _FD_STEP * max(abs(f.identity), 1.0))
-        if rounding > _FD_NOISE_CAP * rate > 0.0:
-            raise ValueError(f"central difference at p={p} has relative rounding bound {rounding / rate:.3g} "
-                             f"> {_FD_NOISE_CAP:g}; write the law with cmath so that it takes the complex step")
+        try:
+            rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
+        except TypeError:
+            rate, rounding = _central_difference(f, p, _FD_STEP * max(abs(f.identity), 1.0))
+            if rounding > _FD_NOISE_CAP * abs(rate):  # a rate that rounds to 0 is the rounding's fault
+                ratio = rounding / abs(rate) if rate else math.inf
+                raise ValueError(f"central difference at p={p} has relative rounding bound {ratio:.3g} > "
+                                 f"{_FD_NOISE_CAP:g}; write the law with cmath so that it takes the complex step")
+    except OverflowError as err:
+        raise ValueError(f"composition law overflows binary64 at p={p}") from err
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
 
 
 def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
-    """0 if the law takes the complex step; else the largest relative change of the central difference
-    from step h to 2h at the 7 Gauss nodes of c, at most _FD_NOISE_CAP.  Rounding dominates that change
-    where it dominates the weight, so the table stops at it instead of halving noise to its budget."""
+    """0 if the law takes the complex step; else the largest relative rounding bound of the central difference
+    at the 7 Gauss nodes of c.  The table's first panel has already kept each within _FD_NOISE_CAP."""
     center, half = 0.5 * (c.lower + c.upper), 0.5 * (c.upper - c.lower)
     try:
         f.compose(center, complex(f.identity, _COMPLEX_STEP))
@@ -275,8 +276,7 @@ def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
         return 0.0
     h = _FD_STEP * max(abs(f.identity), 1.0)
     nodes = [center, *(center + side * half * x for x, _, wg in _GK15 if wg for side in (-1.0, 1.0))]
-    ratios = (_central_difference(f, p, 2.0 * h)[0] / _central_difference(f, p, h)[0] for p in nodes)
-    return min(_FD_NOISE_CAP, max(abs(1.0 - r) for r in ratios))
+    return max(rounding / rate for rate, rounding in (_central_difference(f, p, h) for p in nodes))
 
 
 def _itp_point(d: NormalizedDensity, q: float) -> float:
@@ -414,21 +414,20 @@ def _chebyshev_sum(series: tuple[float, ...], t: float) -> float:
 
 
 TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0, None),
-                     lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True, lambda f, c: 0.0)
-SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0,
-               lambda f, c: 0.0)
-CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False, _rate_noise)
+                     lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True)
+SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0)
+CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False)
 
 
 def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple, tuple, tuple]:
     """Panel edges over c, the weight integral up to each and each panel's node values (None for an exact panel),
-    halving the worst panel until the error estimate is within the tolerance or the weight's noise."""
+    halving the worst panel until the error estimate is within the tolerance or the noise floor ``_rate_noise``."""
     value, error, nodes = f.chart.panel(f, c.lower, c.upper)
     panels = [(-error, c.lower, c.upper, value, nodes)]
     total, total_error = value, error
     tolerance = _QUAD_REL_TOL
-    if total_error > tolerance * total:  # only a table that halves asks for the noise
-        tolerance = max(tolerance, f.chart.noise(f, c))
+    if total_error > tolerance * total:  # a built-in panel is exact, so only a custom table asks for the floor
+        tolerance = max(tolerance, _rate_noise(f, c))
     while total_error > tolerance * total:
         if 15 * (2 * len(panels) + 1) > _QUAD_BUDGET:  # the evaluations after one more halving
             raise ValueError(f"weight integral over [{c.lower}, {c.upper}] needs > {_QUAD_BUDGET} evaluations")

@@ -331,7 +331,7 @@ def symmetric_eigensolver_2x2(m) -> tuple[EigenPair, EigenPair]:
 
 def selftest() -> list[CheckReport]:
     """The battery: exhaustive group checks plus numeric cross-checks of the package's paths."""
-    from . import haar, spin  # loaded here, so that the finite checks do not load the numeric modules
+    from . import haar, scenarios, spin  # loaded here, so that the finite checks do not load the numeric modules
 
     reports = [
         verify_group_axioms(group)
@@ -389,15 +389,14 @@ def selftest() -> list[CheckReport]:
         )
     reports.append(CheckReport("eigensolver-cross-check", worst <= 1e-12, worst))
 
-    # Spin up measured along x: the chain's exact value is cos^2(pi/4), and 20 000 trials count +1 near it.
-    table = spin.transition_table(spin.SPIN_UP, [math.pi / 2])
-    exact, trials = spin.final_plus_probability(table), 20_000
-    plus = sum(spin.sequential_chain(table, 1_000 + i)[-1].eigenvalue == 1 for i in range(trials))
-    z = (plus - trials * exact) / math.sqrt(trials * exact * (1.0 - exact))
+    # Spin up measured along x, as `groupmeasure chain` runs it: the chain's exact value is cos^2(pi/4), and
+    # 20 000 trials from seeds 1000 + i count +1 near it.
+    chain = dict(scenarios.run(scenarios.Scenario("spin_chain", ([math.pi / 2], 1_000, 20_000))).summary)
+    frequency, exact, z = chain["final_plus_frequency"], chain["final_plus_expected"], chain["final_plus_z"]
     closed_form = abs(exact - math.cos(math.pi / 4) ** 2)
     reports.append(CheckReport(
-        "spin-frequency", closed_form <= 1e-15 and abs(z) <= 4.0, abs(plus / trials - exact),
-        f"empirical {plus / trials:.5f} vs exact {exact:.5f}, z={z:.3f}, exact - cos^2(pi/4) = {closed_form:.3g}",
+        "spin-frequency", closed_form <= 1e-15 and abs(z) <= 4.0, abs(frequency - exact),
+        f"empirical {frequency:.5f} vs exact {exact:.5f}, z={z:.3f}, exact - cos^2(pi/4) = {closed_form:.3g}",
     ))
     reports += [verify_action(coin_action()), verify_action(die_action())]
     return reports

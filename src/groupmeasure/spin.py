@@ -96,17 +96,16 @@ def probabilities(ray: SpinRay, obs: SpinObservable) -> tuple[float, float]:
 
 
 def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
-    """Post-measurement state: the eigenvector of the observed eigenvalue."""
+    """Post-measurement state: the eigenvector of the observed eigenvalue, read from the one-step chain table."""
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    p_plus, p_minus = probabilities(ray, obs)
-    if refusal := _refusal(outcome, p_plus if outcome == 1 else p_minus, _residue_floor(obs.theta)):
-        raise ValueError(refusal)
-    (_, plus), (_, minus) = eigensystem(obs)
-    return plus if outcome == 1 else minus
+    observed = transition_table(ray, (obs.theta,))[0][0][1 if outcome == 1 else 2]
+    if type(observed) is str:
+        raise ValueError(observed)
+    return observed.post_state
 
 
-def _residue_floor(theta: float, previous: float = 0.0) -> float:
+def _residue_floor(theta: float, previous: float) -> float:
     """min(ulp(max(|theta|, |previous|, pi))^2, NORM_TOL), previous being the angle the incoming state was
     measured at.  Rounding leaves an impossible outcome a residue below the ulp term, such as 3.7e-33 for
     spin up at theta = pi, or about ulp(previous)^2 / 16 when theta = previous + k pi; a probability at or

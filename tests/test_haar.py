@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from deadlines import deadline
 from groupmeasure import haar
 from groupmeasure.haar import (
-    CUSTOM,
     IntervalConstraint,
     NormalizedDensity,
     custom_family,
@@ -128,13 +127,51 @@ def test_a_central_difference_within_its_rounding_bound_still_normalizes():
     assert abs(d.normalizer - 1.0) <= 3.7e-8  # the bound there; the 40 asinh intervals above pass too
 
 
-def test_the_noise_floor_is_0_for_the_complex_step_and_capped_for_a_central_difference():
+@pytest.mark.parametrize("lower, upper, center", [(1.0, 1e3, 500.5), (700.0, 720.0, 710.0)])
+def test_a_rate_inside_its_own_rounding_is_refused_for_its_rounding(lower, upper, center):
+    # sinh p swamps sinh(+-h): the difference rounds to exactly 0, which is the rounding's fault, not the law's.
+    family = custom_family(lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0)
+    with pytest.raises(ValueError, match=rf"^central difference at p={center} has relative rounding bound inf "
+                                         r"> 1e-06; write the law with cmath"):
+        normalize(family, IntervalConstraint(lower, upper))
+
+
+@pytest.mark.parametrize("module", [math, cmath], ids=["math", "cmath"])
+def test_a_law_that_overflows_binary64_is_refused_at_its_parameter(module):
+    family = custom_family(lambda a, b: module.asinh(module.sinh(a) + module.sinh(b)), 0.0)
+    with pytest.raises(ValueError, match=r"^composition law overflows binary64 at p=715\.0$"):
+        haar_weight(family, 715.0)
+    with pytest.raises(ValueError, match=r"^composition law overflows binary64 at p=1000\.5$"):
+        normalize(family, IntervalConstraint(1e3, 1e3 + 1.0))
+
+
+def test_the_noise_floor_is_0_for_the_complex_step_and_the_rounding_bound_otherwise():
     with_math = custom_family(lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0)
     with_cmath = custom_family(lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0)
-    noise = {lower: CUSTOM.noise(with_math, IntervalConstraint(lower, lower + 0.1)) for lower in (0.0, 5.4, 20.0)}
+    noise = {lower: haar._rate_noise(with_math, IntervalConstraint(lower, lower + 0.1)) for lower in (0.0, 5.4)}
     assert noise[0.0] < 1e-10 < noise[5.4] < 1e-6
-    assert noise[20.0] == 1e-6  # about 1e-3 there: such a table halves to its budget and is refused, as before
-    assert all(CUSTOM.noise(with_cmath, IntervalConstraint(lower, lower + 0.1)) == 0.0 for lower in noise)
+    assert all(haar._rate_noise(with_cmath, IntervalConstraint(lower, lower + 0.1)) == 0.0 for lower in noise)
+    # Past the cap, the first panel's nodes are refused before the table could ask for its noise.
+    with pytest.raises(ValueError, match=r"relative rounding bound 0\.179 > 1e-06"):
+        normalize(with_math, IntervalConstraint(20.0, 20.1))
+
+
+def test_a_central_difference_noise_floor_is_its_largest_bound_at_the_gauss_nodes():
+    evaluations = []
+
+    def law(a, b):
+        value = math.asinh(math.sinh(a) + math.sinh(b))  # a complex b raises before it counts
+        evaluations.append((a, b))
+        return value
+
+    family, c = custom_family(law, 0.0), IntervalConstraint(5.4, 5.5)
+    evaluations.clear()
+    noise = haar._rate_noise(family, c)
+    assert len(evaluations) == 14  # one central difference at each of the 7 Gauss nodes
+    h = haar._FD_STEP
+    nodes = sorted({a for a, _ in evaluations})
+    assert len(nodes) == 7
+    assert noise == max(rounding / rate for rate, rounding in (haar._central_difference(family, p, h) for p in nodes))
 
 
 def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
