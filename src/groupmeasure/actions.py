@@ -48,9 +48,10 @@ class DieOrientation(Record):
     @classmethod
     def from_label(cls, label: str) -> DieOrientation:
         head, _, tail = label.partition("_")
-        if not (head.startswith("up") and tail.startswith("north")):
+        up, north = head[2:], tail[5:]
+        if not (head.startswith("up") and tail.startswith("north") and up.isdecimal() and north.isdecimal()):
             raise ValueError(f"not an orientation label: {label!r}")
-        return cls(int(head[2:]), int(tail[5:]))
+        return cls(int(up), int(north))
 
 
 def _orientation_of(matrix: Matrix) -> DieOrientation:
@@ -74,12 +75,13 @@ class GroupAction(Record):
     The constructor checks the table's shape, that each entry is a member of the set of state
     indices 0..len(states)-1, and that the identity fixes every state.  A negative or too large
     int, ``nan`` and a str are refused by name; a float or bool equal to an index, such as ``1.0``
-    or ``True``, is a member and is accepted.
+    or ``True``, is a member and is accepted.  States, table and rows are stored as tuples.
     """
 
     __slots__ = ("group", "states", "act")
 
     def __init__(self, group: FiniteGroup, states: tuple[str, ...], act: tuple[tuple[int, ...], ...]) -> None:
+        states, act = tuple(states), tuple(map(tuple, act))
         if not states:
             raise ValueError("action needs at least one state")
         if len(act) != group.n:

@@ -24,12 +24,13 @@ class FiniteGroup(Record):
     whether the table is a group.  An entry is in range when it is a member of the set of
     ids 0..n-1, so a negative or too large int, ``nan`` and a str are refused by name.  A
     float or bool equal to an id, such as ``1.0`` or ``True``, is a member and is accepted;
-    ``identity`` must be an int.
+    ``identity`` must be an int.  The table and its rows are stored as tuples.
     """
 
     __slots__ = ("label", "n", "table", "identity")
 
     def __init__(self, label: str, table: tuple[tuple[int, ...], ...], identity: int) -> None:
+        table = tuple(map(tuple, table))
         n = len(table)
         if n == 0:
             raise ValueError(f"group order must be positive, got {n}")
@@ -54,6 +55,8 @@ class FiniteGroup(Record):
 
     def element_order(self, a: int) -> int:
         """Smallest k >= 1 such that composing a with itself k times gives the identity."""
+        if not 0 <= a < self.n:
+            raise ValueError(f"{self.label}: element {a} outside 0..{self.n - 1}")
         acc = a
         k = 1
         while acc != self.identity:

@@ -5,8 +5,11 @@ Nothing here reuses the computation paths it is meant to check: die
 orientations come from a brute-force pair filter rather than rotation
 matrices, the rotation census from generator closure, eigenvectors from the
 characteristic equation rather than half-angle forms, and the quadrature is
-a separate implementation.  ``selftest()`` is the one place that pairs the
-package's paths with these checks; ``groupmeasure selftest`` prints it.
+a separate implementation.  The group check counts identity and inverse
+failures in one pass over the rows each, and runs Light's associativity test
+on a greedy generating set, leaving out an identity the count has verified.
+``selftest()`` is the one place that pairs the package's paths with these
+checks; ``groupmeasure selftest`` prints it.
 """
 
 from __future__ import annotations
@@ -47,21 +50,34 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
     for every c at once says that the row of a∘s is row a read through row s.
     Light's test checks this only for s in a generating set S, built greedily
     with no identity or inverse assumed: the set of right factors s for which it
-    holds for all a, c is closed under ∘, so S inside it makes it everything.  If
-    a generator fails, every pair (a, b) is swept the same way, so that the
-    residual counts each violating triple.  An entry that equals an id but is no
-    int, such as ``1.0``, is refused with a ``ValueError`` that names it.
+    holds for all a, c is closed under ∘, so S inside it makes it everything.
+    Once the identity count is 0, (a∘e)∘c = a∘c = a∘(e∘c), so e is in that set
+    and needs no row pass.  If a generator fails, every pair (a, b) is swept the
+    same way, so that the residual counts each violating triple.  An entry that
+    equals an id but is no int, such as ``1.0``, is refused with a
+    ``ValueError`` that names it.
     """
     n, table, e = g.n, g.table, g.identity
     if n > 4096:
         raise ValueError(f"exhaustive check infeasible at order {n}")
+    missing_inverses = 0
+    for a, row in enumerate(table):
+        # Some b has a∘b = b∘a = e; the first e in row a is tried before the whole row is.
+        try:
+            b = row.index(e)
+        except ValueError:
+            missing_inverses += 1
+            continue
+        if table[b][a] != e and not any(x == e and table[c][a] == e for c, x in enumerate(row)):
+            missing_inverses += 1
     counts = {
         "identity": sum(table[e][a] != a or row[e] != a for a, row in enumerate(table)),
-        "inverse": sum(not _has_inverse(table, a, e) for a in range(n)),
+        "inverse": missing_inverses,
         "associativity": 0,
     }
+    settled = e if not counts["identity"] else None
     try:
-        if not all(_associates_through(table, s) for s in _greedy_generators(table)):
+        if not all(_associates_through(table, s) for s in _greedy_generators(table) if s != settled):
             counts["associativity"] = _associativity_violations(table)
     except TypeError:  # an entry equal to an id but no int, such as 1.0, failed as an index
         _refuse_an_entry_that_is_no_int(f"{g.label}: table", table)
@@ -89,16 +105,6 @@ def _count_report(name: str, counts: dict[str, int], fallback: str) -> CheckRepo
     )
 
 
-def _has_inverse(table, a: int, e: int) -> bool:
-    """Some b has a∘b = b∘a = e; the first e in row a is tried before the whole row is."""
-    row = table[a]
-    try:
-        b = row.index(e)
-    except ValueError:
-        return False
-    return table[b][a] == e or any(x == e and table[c][a] == e for c, x in enumerate(row))
-
-
 def _greedy_generators(table) -> list[int]:
     """Take the smallest element not yet reached, then close the reached set under x -> x∘s for
     every s taken; repeat until every element is reached.  ``FiniteGroup`` guarantees closure."""
@@ -109,6 +115,8 @@ def _greedy_generators(table) -> list[int]:
         if reached[s]:
             continue
         gens.append(s)
+        # x∘t for every t taken, as a tuple: one index would give a bare entry, a one-wide slice does not.
+        successors = itemgetter(*gens) if len(gens) > 1 else itemgetter(slice(s, s + 1))
         # Old members need only the new generator; each newly reached element needs them all.
         frontier = [s, *(table[x][s] for x in members)]
         while frontier:
@@ -116,17 +124,12 @@ def _greedy_generators(table) -> list[int]:
             if not reached[x]:
                 reached[x] = True
                 members.append(x)
-                row = table[x]
-                frontier.extend(row[t] for t in gens)
+                frontier += successors(table[x])
     return gens
 
 
 def _associates_through(table, s: int) -> bool:
     """(a∘s)∘c = a∘(s∘c) for every a and c.  ``FiniteGroup`` guarantees closure."""
-    if table[s] == tuple(range(len(table))):
-        # s∘c = c, so every row reads through row s as itself; this also spares the 1x1 table
-        # an itemgetter of one index, which would return a bare entry.
-        return all(table[row[s]] == row for row in table)
     read = itemgetter(*table[s])
     return all(table[row[s]] == read(row) for row in table)
 
@@ -151,8 +154,7 @@ def verify_action(action: GroupAction) -> CheckReport:
     generators reach every element.  An entry of either table that equals an index but is no int
     is refused with a ``ValueError`` that names it.
     """
-    group, n_states = action.group, len(action.states)
-    rows = [tuple(row) for row in action.act]  # a row given as a list still compares equal to its composite
+    group, n_states, rows = action.group, len(action.states), action.act
     try:
         counts = {
             "permutation": sum(len(set(row)) != n_states for row in rows),

@@ -1,18 +1,19 @@
 """Exact-rational probability tables: marginalization, conditioning, factorization.
 
 Probabilities are ``fractions.Fraction`` values (or ints) at the API.  A table
-computes its integer form once, when it is built: the probabilities as integer
-numerators over their least common denominator.  Each operation reads that
-form and does every sum, quotient and comparison on those ints; it builds a
-``Fraction`` only for a value it returns, once per distinct value.  The
-results are bit-exact; no floating point enters this module.
+holds its integer form: the probabilities as integer numerators over their
+least common denominator.  The constructor checks outside input and derives
+that form; the uniform, marginal and conditional tables are built from the
+integer form their operation already holds.  Every sum, quotient and
+comparison is done on those ints, and a ``Fraction`` is made only for a value
+returned, once per distinct value.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Callable, Collection, Iterable, Mapping
 
 from .record import Record
 
@@ -23,13 +24,14 @@ class ProbabilityTable(Record):
     """Ordered (label, probability) outcomes; probabilities are ints or Fractions and sum to exactly 1.
 
     ``denominator`` is the least common denominator of the probabilities, and ``numerators[i]`` is
-    the i-th probability times it.  The constructor computes both from ``outcomes``, so they add
-    nothing to what a table equals, hashes or sorts as.
+    the i-th probability times it.  Both follow from ``outcomes``, so they add nothing to what a
+    table equals, hashes or sorts as.  ``outcomes`` and its pairs are stored as tuples.
     """
 
     __slots__ = ("outcomes", "numerators", "denominator")
 
     def __init__(self, outcomes: tuple[tuple[str, Fraction], ...]) -> None:
+        outcomes = tuple(map(tuple, outcomes))
         if not outcomes:
             raise ValueError("probability table must have at least one outcome")
         labels = [label for label, _ in outcomes]
@@ -75,14 +77,28 @@ def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     n = len(labels)
     if n == 0:
         raise ValueError("uniform table needs at least one label")
-    share = Fraction(1, n)
-    return ProbabilityTable(tuple((label, share) for label in labels))
+    if len(set(labels)) < n:
+        _refuse_first_outcome([(label, 0) for label in labels])
+    return _over(labels, (1,) * n, n)
 
 
-def _over(labels: Sequence[str], numerators: Sequence[int], denominator: int) -> ProbabilityTable:
-    """The table of numerator/denominator per label, with one Fraction per distinct numerator."""
+def _over(labels: Iterable[str], numerators: Collection[int], denominator: int) -> ProbabilityTable:
+    """The table of numerator/denominator per label: distinct labels, numerators >= 0 summing to denominator.
+
+    Over the gcd of the numerators and the denominator, they are the integer form the constructor
+    derives: the lcm of the reduced denominators of n_i/D is D/gcd(D, n_1, ..., n_k).  One Fraction
+    is made per distinct numerator.
+    """
+    common = gcd(denominator, *numerators)
+    if common > 1:
+        denominator //= common
+        numerators = [n // common for n in numerators]
     values = {n: Fraction(n, denominator) for n in set(numerators)}
-    return ProbabilityTable(tuple(zip(labels, map(values.__getitem__, numerators))))
+    table = object.__new__(ProbabilityTable)
+    object.__setattr__(table, "outcomes", tuple(zip(labels, map(values.__getitem__, numerators))))
+    object.__setattr__(table, "numerators", tuple(numerators))
+    object.__setattr__(table, "denominator", denominator)
+    return table
 
 
 def marginalize(t: ProbabilityTable, projection: Mapping[str, str]) -> ProbabilityTable:
@@ -96,7 +112,7 @@ def marginalize(t: ProbabilityTable, projection: Mapping[str, str]) -> Probabili
             raise ValueError(f"projection undefined on outcome label {label!r}")
         coarse = projection[label]
         sums[coarse] = sums.get(coarse, 0) + n
-    return _over(list(sums), list(sums.values()), t.denominator)
+    return _over(sums, sums.values(), t.denominator)
 
 
 def condition(t: ProbabilityTable, predicate: Callable[[str], bool]) -> ProbabilityTable:

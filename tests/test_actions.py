@@ -40,8 +40,10 @@ def test_orientation_label_roundtrip():
 
 
 def test_a_label_that_names_no_orientation_is_refused():
-    with pytest.raises(ValueError, match="^not an orientation label: 'bogus'$"):
-        DieOrientation.from_label("bogus")
+    # A label with the right prefixes but no face number used to be refused in int()'s words.
+    for label in ("bogus", "upx_north2", "up1_north"):
+        with pytest.raises(ValueError, match=f"^not an orientation label: '{label}'$"):
+            DieOrientation.from_label(label)
 
 
 def test_exactly_24_orientations_matching_oracle_enumeration():

@@ -229,6 +229,13 @@ def test_the_order_of_an_element_that_generates_no_cycle_is_refused():
         FiniteGroup("t", ((1, 1), (1, 1)), 0).element_order(1)
 
 
+@pytest.mark.parametrize("a", [-1, 5, 7])
+def test_the_order_of_an_element_outside_the_group_is_refused_by_name(a):
+    # -1 used to read the last row and answer 5; 5 and 7 raised a bare IndexError.
+    with pytest.raises(ValueError, match=rf"^C5: element {a} outside 0\.\.4$"):
+        make_cyclic(5).element_order(a)
+
+
 @pytest.mark.parametrize(
     "rows, words",
     [((), "group order must be positive, got 0"), (((0, 1), (1,)), "t: composition table must be 2x2")],

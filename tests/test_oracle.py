@@ -187,12 +187,34 @@ def test_a_wrong_entry_in_a_generator_row_is_found(g):
     assert "associativity" in report.details
 
 
-@pytest.mark.parametrize("g", [make_cyclic(1000), make_dihedral(500)], ids=lambda g: g.label)
+@pytest.mark.parametrize(
+    "g", [make_cyclic(1000), make_dihedral(500), direct_product(make_dihedral(2), make_cyclic(250))],
+    ids=lambda g: g.label,
+)
 def test_large_groups_are_checked_within_a_second(g):
-    # Sweeping every pair (a, b) would take about 30 s at order 1000; two or three generators take 0.1 s.
+    # Sweeping every pair (a, b) would take about 30 s at order 1000; one to three generators take 0.1 s.
     with deadline(1.0):
         report = verify_group_axioms(g)
     assert report.line() == f"group-axioms[{g.label}] PASS residual=0 (order {g.n})"
+
+
+@pytest.mark.parametrize(
+    "g, passes",
+    [
+        (make_cyclic(1), 0),  # its one entry is the identity, so no generator is left to check
+        *((make_cyclic(n), 1) for n in (2, 3, 40)),
+        *((make_dihedral(k), 2) for k in (2, 3, 20)),
+        *((direct_product(make_dihedral(2), make_cyclic(m)), 3) for m in (3, 10)),
+    ],
+    ids=lambda value: value.label if isinstance(value, FiniteGroup) else str(value),
+)
+def test_a_group_takes_one_row_pass_per_generator_other_than_its_verified_identity(monkeypatch, g, passes):
+    # The identity count already shows (a∘e)∘c = a∘c = a∘(e∘c), so Light's test leaves e out.
+    through = []
+    check = oracle._associates_through
+    monkeypatch.setattr(oracle, "_associates_through", lambda table, s: through.append(s) or check(table, s))
+    assert verify_group_axioms(g).passed
+    assert len(through) == passes and g.identity not in through
 
 
 def test_the_group_check_loads_no_numeric_module():

@@ -82,6 +82,42 @@ def test_repr_names_the_class_and_every_field(make):
         assert f"{name}={getattr(record, name)!r}" in text
 
 
+# Records whose constructor takes nested sequences, with arguments given as lists at every depth.
+LIST_ARGUMENTS = {
+    "ProbabilityTable": (tables.ProbabilityTable, lambda: ([["a", Fraction(1, 2)], ["b", Fraction(1, 2)]],)),
+    "FiniteGroup": (groups.FiniteGroup, lambda: ("C2", [[0, 1], [1, 0]], 0)),
+    "GroupAction": (actions.GroupAction, lambda: (groups.make_cyclic(2), ["x", "y"], [[0, 1], [1, 0]])),
+}
+
+
+def _as_tuples(value):
+    """``value`` with every list in it, at any depth, a tuple."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+def _scramble(value):
+    """Reverse every list in ``value`` in place, at any depth, and append its new first item to it."""
+    if isinstance(value, list):
+        for item in value:
+            _scramble(item)
+        value.reverse()
+        value.append(value[0])
+
+
+@pytest.mark.parametrize("cls, arguments", LIST_ARGUMENTS.values(), ids=LIST_ARGUMENTS.keys())
+def test_a_record_built_from_lists_keeps_what_it_checked(cls, arguments):
+    # A record used to keep the caller's lists: changing them afterwards changed the record past its
+    # checks (a table summing to 3/2, a group entry out of range), and it could not be hashed.
+    args = arguments()
+    from_tuples = cls(*map(_as_tuples, args))
+    record = cls(*args)
+    for arg in args:
+        _scramble(arg)
+    assert record == from_tuples
+    assert hash(record) == hash(from_tuples)
+    assert repr(record) == repr(from_tuples)
+
+
 def test_die_orientations_sort_and_dedupe():
     o = actions.DieOrientation
     assert sorted([o(2, 1), o(1, 3), o(1, 2)]) == [o(1, 2), o(1, 3), o(2, 1)]

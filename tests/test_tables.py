@@ -93,6 +93,33 @@ def test_uniform_table_without_labels_is_refused():
         uniform_table(())
 
 
+def test_uniform_table_with_a_repeated_label_is_refused():
+    with pytest.raises(ValueError, match="^duplicate outcome label 'x'$"):
+        uniform_table(("x", "x"))
+    with pytest.raises(ValueError, match="^duplicate outcome label 'y'$"):
+        uniform_table(["x", "y", "y", "x"])
+
+
+def test_derived_tables_are_built_without_the_checking_constructor(monkeypatch, die_joint):
+    # A derived table comes from its builder's integer form, which needs no check and no
+    # second derivation; the constructor is for outside input.
+    calls = []
+    check = ProbabilityTable.__init__
+
+    def counted(table, outcomes):
+        calls.append(outcomes)
+        check(table, outcomes)
+
+    monkeypatch.setattr(ProbabilityTable, "__init__", counted)
+    assert uniform_table(die_joint.labels()) == die_joint
+    marginal = marginalize(die_joint, up_projection())
+    assert marginal.outcomes == tuple((f"up{u}", Fraction(1, 6)) for u in range(1, 7))
+    assert len(condition(die_joint, lambda label: label.endswith("north2")).outcomes) == 4
+    assert calls == []
+    ProbabilityTable((("a", 1),))
+    assert calls == [(("a", 1),)]
+
+
 def test_marginal_up_face_is_one_sixth(die_joint):
     marginal = marginalize(die_joint, up_projection())
     assert len(marginal.outcomes) == 6
