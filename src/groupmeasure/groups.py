@@ -54,9 +54,9 @@ class FiniteGroup(Record):
         return self.table[a][b]
 
     def element_order(self, a: int) -> int:
-        """Smallest k >= 1 such that composing a with itself k times gives the identity."""
-        if not 0 <= a < self.n:
-            raise ValueError(f"{self.label}: element {a} outside 0..{self.n - 1}")
+        """Smallest k >= 1 such that composing a with itself k times gives the identity; a is an int, as identity is."""
+        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.n:
+            raise ValueError(f"{self.label}: element {a!r} outside 0..{self.n - 1}")
         acc = a
         k = 1
         while acc != self.identity:

@@ -4,13 +4,13 @@ A family is a composition law phi(a, b) with identity e and left-invariant weigh
 1 / (d phi(p, b) / d b at b = e).  It acts by translation on u, the weight's
 integral, so the invariant measure of [l, x] is u(x) - u(l) and cdf(x) = (u(x) -
 u(lower)) / normalizer (Jaynes, "Prior Probabilities", 1968).  A family's chart
-gives this canonical coordinate u: x for translation, log x for scale, a GK15
-table over the interval for a custom law.  A built-in's table is one exact panel.
-A custom table also keeps, for each panel, the Chebyshev series of u from the
-panel's left edge: the antiderivative of the degree-14 polynomial through the
-weight at the panel's 15 Kronrod nodes.  Its cdf reads that series, within the
-table's 1e-10 tolerance, and calls the law no more; its quantile takes ITP steps
-on the same series, inside the panel that holds the level, until the cdf at x is
+gives this canonical coordinate u: x for translation, log x for scale, a table of
+Fejer panels over the interval for a custom law.  A built-in's table is one exact
+panel.  A custom panel's rule is its own series: its 15 node values give both the
+panel's integral and the Chebyshev series of u from the panel's left edge, the
+antiderivative of the degree-14 polynomial through them.  Its cdf reads that series,
+within the table's 1e-10 tolerance, and calls the law no more; its quantile takes ITP
+steps on the same series, inside the panel that holds the level, until the cdf at x is
 within one ulp of the level or the bracket is 1e-12 wide.
 
 This module is floating point (binary64) throughout; tolerances are
@@ -266,7 +266,8 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
 
 def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
     """0 if the law takes the complex step; else the largest relative rounding bound of the central difference
-    at the 7 Gauss nodes of c.  The table's first panel has already kept each within _FD_NOISE_CAP."""
+    at the 7 nodes cos(j pi / 8) of c, the nested 7-point rule's.  The table's first panel has already
+    evaluated each and kept it within _FD_NOISE_CAP."""
     center, half = 0.5 * (c.lower + c.upper), 0.5 * (c.upper - c.lower)
     try:
         f.compose(center, complex(f.identity, _COMPLEX_STEP))
@@ -275,7 +276,7 @@ def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
     else:
         return 0.0
     h = _FD_STEP * max(abs(f.identity), 1.0)
-    nodes = [center, *(center + side * half * x for x, _, wg in _GK15 if wg for side in (-1.0, 1.0))]
+    nodes = [center, *(center + side * half * math.cos(j * math.pi / 8) for j in range(1, 4) for side in (-1, 1))]
     return max(rounding / rate for rate, rounding in (_central_difference(f, p, h) for p in nodes))
 
 
@@ -320,84 +321,53 @@ def _itp_root(residual: Callable[[float], float], lo: float, hi: float, y_lo: fl
     return 0.5 * (lo + hi)
 
 
-# Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK 1983): (node, Kronrod
-# weight, Gauss weight) for the positive nodes; the rule is symmetric about 0.
-_GK15 = (
-    (0.991455371120812639, 0.022935322010529225, 0.0),
-    (0.949107912342758525, 0.063092092629978553, 0.129484966168869693),
-    (0.864864423359769073, 0.104790010322250184, 0.0),
-    (0.741531185599394440, 0.140653259715525919, 0.279705391489276668),
-    (0.586087235467691130, 0.169004726639267903, 0.0),
-    (0.405845151377397167, 0.190350578064785410, 0.381830050505118945),
-    (0.207784955007898468, 0.204432940075298892, 0.0),
-)
-_GK15_CENTER = (0.209482141084727828, 0.417959183673469388)
-
-
-def _gk15(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[list[float], list[float]]]:
-    """Kronrod 15-point integral of f's weight over [a, b], its distance from the Gauss 7-point one, and the
-    weight v at the nodes x of [-1, 1]: the 8 sums v(-x) + v(x), x = 0 first, and the 7 differences v(x) - v(-x)."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    f_center = haar_weight(f, center)
-    weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
-    kronrod, gauss = _GK15_CENTER[0] * f_center, _GK15_CENTER[1] * f_center
-    sums, differences = [f_center + f_center], []
-    for x, wk, wg in _GK15:
-        left, right = weight(f, center - half * x), weight(f, center + half * x)
-        pair = left + right
-        kronrod += wk * pair
-        gauss += wg * pair
-        sums.append(pair)
-        differences.append(right - left)
-    return half * kronrod, half * abs(kronrod - gauss), (sums, differences)
+_FEJER_TAIL = 8.0  # a panel's error estimate, per half-width, in units of |b_14| + |b_15|
 
 
 @functools.cache
-def _antiderivative_rows() -> tuple[list[list[float]], list[list[float]]]:
-    """Rows that take a panel's node values, as ``_gk15`` gives them, to the Chebyshev coefficients of
-    U(t) = integral from -1 to t of p, where p is the degree-14 polynomial through them on [-1, 1].
-
-    The even part of p, a_0 T_0 + a_2 T_2 + ... + a_14 T_14, is half of each sum at its x; the odd
-    part, a_1 T_1 + ... + a_13 T_13, half of each difference.  Integrating T_k gives
-    b_k = (c a_(k-1) - a_(k+1)) / 2k, c = 2 for k = 1 and 1 after.  So the odd b_k read the 8 sums
-    and the even b_k the 7 differences, each row taking its half in its divisor; U(-1) = 0 fixes b_0.
-    Both systems are well conditioned (infinity-norm condition numbers 11 and 6), so plain
-    elimination in binary64 solves them.
-    """
-    angles = [math.acos(x) for x, _, _ in _GK15]  # T_k(cos angle) = cos(k angle)
-    even = _inverse([[math.cos(k * a) for k in range(0, 15, 2)] for a in (0.5 * math.pi, *angles)]) + [[0.0] * 8]
-    odd = _inverse([[math.cos(k * a) for k in range(1, 15, 2)] for a in angles]) + [[0.0] * 7]
-    odd_rows = [[((2.0 if k == 0 else 1.0) * lo - hi) / (8 * k + 4) for lo, hi in zip(even[k], even[k + 1])]
-                for k in range(8)]  # b_1, b_3, ..., b_15
-    even_rows = [[(lo - hi) / (8 * k + 8) for lo, hi in zip(odd[k], odd[k + 1])]
-                 for k in range(7)]  # b_2, b_4, ..., b_14
-    return odd_rows, even_rows
+def _fejer() -> tuple[float, float, tuple[tuple[float, ...], ...], list[list[float]], list[list[float]]]:
+    """Fejer's second rule on [-1, 1] (Fejer, Math. Z. 37, 1933; Waldvogel, BIT 46, 2006), at the 15 interior
+    points cos(j pi / 16): the center, j = 8, and the pairs +-x, j = 1..7 from the outermost in.  Its rows take
+    the node values to the Chebyshev coefficients b_k of U(t) = integral from -1 to t of p, the degree-14
+    polynomial through them.  With t = cos theta, dU/dtheta = -p(cos theta) sin theta is a sine polynomial of
+    degree 15, so the values v_j at theta_j = j pi / 16 give it exactly: k b_k = (1/8) sum_j v_j sin theta_j
+    sin(k theta_j).  sin(k (pi - theta)) = +-sin(k theta) for odd and even k, so the odd b_k read the 8 sums
+    v(0), v(-x) + v(x) and the even b_k the 7 differences v(x) - v(-x).  The weights on the sums give the
+    value U(1) = 2 (b_1 + b_3 + ... + b_15).  Returns the center's weight and b_15 entry, per pair (x, weight,
+    b_15 entry, b_14 entry), and the rows of b_1, b_3, ..., b_15 and of b_2, b_4, ..., b_14."""
+    angles = [0.5 * math.pi, *(j * math.pi / 16 for j in range(1, 8))]
+    odd = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles] for k in range(1, 16, 2)]
+    even = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles[1:]] for k in range(2, 15, 2)]
+    weights = [2.0 * sum(column) for column in zip(*odd)]
+    pairs = tuple(zip([math.cos(a) for a in angles[1:]], weights[1:], odd[-1][1:], even[-1]))
+    return weights[0], odd[-1][0], pairs, odd, even
 
 
-def _inverse(matrix: list[list[float]]) -> list[list[float]]:
-    """Inverse of a square matrix, by Gauss-Jordan elimination with partial pivoting."""
-    n = len(matrix)
-    rows = [[*row, *(float(i == j) for j in range(n))] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(n):
-            if r != col:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+def _panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[list[float], list[float]]]:
+    """Fejer integral of f's weight over [a, b], its error estimate _FEJER_TAIL * half * (|b_14| + |b_15|),
+    and the weight v at the nodes x of [-1, 1]: the 8 sums v(0), v(-x) + v(x) and the 7 differences
+    v(x) - v(-x).  The center is evaluated first, then the pairs from the outermost in, left before right."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    f_center = haar_weight(f, center)
+    weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
+    center_weight, center_b15, pairs, _, _ = _fejer()
+    value, b15, b14 = center_weight * f_center, center_b15 * f_center, 0.0
+    sums, differences = [f_center], []
+    for x, w, row15, row14 in pairs:
+        left, right = weight(f, center - half * x), weight(f, center + half * x)
+        pair, difference = left + right, right - left
+        value, b15, b14 = value + w * pair, b15 + row15 * pair, b14 + row14 * difference
+        sums.append(pair)
+        differences.append(difference)
+    return half * value, _FEJER_TAIL * half * (abs(b14) + abs(b15)), (sums, differences)
 
 
 def _antiderivative(nodes: tuple[list[float], list[float]]) -> tuple[float, ...]:
     """Chebyshev coefficients b_0..b_15, in t = (x - center) / half, of the integral of the weight from the
-    panel's left edge to x, divided by half.
-
-    Kronrod-15 is exact to degree 22, so its weights are the interpolatory ones: the series at t = 1 is the
-    panel's Kronrod value, and cdf is continuous at every edge of the table.
-    """
+    panel's left edge to x, divided by half: the rows of ``_fejer``, and b_0 from U(-1) = 0.  At t = 1 the
+    series is the panel's Fejer value, so cdf is continuous at every edge of the table."""
     sums, differences = nodes
-    odd_rows, even_rows = _antiderivative_rows()
+    *_, odd_rows, even_rows = _fejer()
     series = [0.0] * 16
     series[1::2] = [sum(map(mul, row, sums)) for row in odd_rows]
     series[2::2] = [sum(map(mul, row, differences)) for row in even_rows]
@@ -416,7 +386,7 @@ def _chebyshev_sum(series: tuple[float, ...], t: float) -> float:
 TRANSLATION = _Chart("translation", "constant", lambda f, p: 1.0, lambda f, a, b: (b - a, 0.0, None),
                      lambda d, q: d.support.lower + q * d.normalizer, lambda a, b: True)
 SCALE = _Chart("scale", "reciprocal", _scale_weight, _scale_panel, _scale_point, lambda a, b: b == 0 and a > 0)
-CUSTOM = _Chart("custom", "custom", _rate_weight, _gk15, _itp_point, lambda a, b: False)
+CUSTOM = _Chart("custom", "custom", _rate_weight, _panel, _itp_point, lambda a, b: False)
 
 
 def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple, tuple, tuple]:

@@ -34,7 +34,11 @@ class ProbabilityTable(Record):
         outcomes = tuple(map(tuple, outcomes))
         if not outcomes:
             raise ValueError("probability table must have at least one outcome")
-        labels = [label for label, _ in outcomes]
+        try:
+            labels = [label for label, _ in outcomes]
+        except ValueError:  # an outcome that unpacks into other than two values
+            outcome = next(outcome for outcome in outcomes if len(outcome) != 2)
+            raise ValueError(f"outcome {outcome!r} is not a (label, probability) pair") from None
         probabilities = [p for _, p in outcomes]
         if len(set(labels)) < len(labels) or not _EXACT_TYPES.issuperset(map(type, probabilities)):
             _refuse_first_outcome(outcomes)

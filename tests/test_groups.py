@@ -229,10 +229,11 @@ def test_the_order_of_an_element_that_generates_no_cycle_is_refused():
         FiniteGroup("t", ((1, 1), (1, 1)), 0).element_order(1)
 
 
-@pytest.mark.parametrize("a", [-1, 5, 7])
+@pytest.mark.parametrize("a", [-1, 5, 7, 1.0, True])
 def test_the_order_of_an_element_outside_the_group_is_refused_by_name(a):
-    # -1 used to read the last row and answer 5; 5 and 7 raised a bare IndexError.
-    with pytest.raises(ValueError, match=rf"^C5: element {a} outside 0\.\.4$"):
+    # -1 used to read the last row and answer 5; 5 and 7 raised a bare IndexError.  1.0 and True equal an id,
+    # as an identity of 1.0 or True does, and raised a bare TypeError as an index.
+    with pytest.raises(ValueError, match=rf"^C5: element {re.escape(repr(a))} outside 0\.\.4$"):
         make_cyclic(5).element_order(a)
 
 

@@ -4,9 +4,11 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from deadlines import deadline
 from groupmeasure import haar
@@ -156,7 +158,7 @@ def test_the_noise_floor_is_0_for_the_complex_step_and_the_rounding_bound_otherw
         normalize(with_math, IntervalConstraint(20.0, 20.1))
 
 
-def test_a_central_difference_noise_floor_is_its_largest_bound_at_the_gauss_nodes():
+def test_a_central_difference_noise_floor_is_its_largest_bound_at_the_nested_rules_nodes():
     evaluations = []
 
     def law(a, b):
@@ -167,11 +169,37 @@ def test_a_central_difference_noise_floor_is_its_largest_bound_at_the_gauss_node
     family, c = custom_family(law, 0.0), IntervalConstraint(5.4, 5.5)
     evaluations.clear()
     noise = haar._rate_noise(family, c)
-    assert len(evaluations) == 14  # one central difference at each of the 7 Gauss nodes
+    assert len(evaluations) == 14  # one central difference at each node cos(j pi / 8) of the nested 7-point rule
     h = haar._FD_STEP
     nodes = sorted({a for a, _ in evaluations})
     assert len(nodes) == 7
     assert noise == max(rounding / rate for rate, rounding in (haar._central_difference(family, p, h) for p in nodes))
+
+
+def test_a_panel_series_is_numpys_antiderivative_of_the_polynomial_through_its_nodes():
+    # An independent check of the closed-form rows: numpy fits the degree-14 polynomial through the 15 node
+    # values at cos(j pi / 16) and integrates it from -1.
+    rng = np.random.default_rng(26)
+    x = np.cos(np.arange(1, 16) * np.pi / 16)  # v[j - 1] is the value at x_j; x_8 = 0 and x_(16 - j) = -x_j
+    for _ in range(20):
+        v = rng.uniform(-1.0, 2.0, 15)
+        sums = [v[7], *(v[15 - j] + v[j - 1] for j in range(1, 8))]
+        differences = [v[j - 1] - v[15 - j] for j in range(1, 8)]
+        expected = chebyshev.chebint(chebyshev.chebfit(x, v, 14), lbnd=-1)
+        assert np.abs(np.array(haar._antiderivative((sums, differences))) - expected).max() <= 1e-13
+
+
+def test_a_panel_integrates_a_degree_14_weight_exactly_and_estimates_its_error_from_the_last_two_terms():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        coefficients = rng.uniform(-1.0, 1.0, 15)
+        coefficients[0] = 20.0  # a positive weight on [-1, 1]
+        chart = haar.CUSTOM._replace(weight=lambda f, p: float(chebyshev.chebval(p, coefficients)))
+        value, error, nodes = haar._panel(haar.OneParamFamily(chart, None, 0.0), -1.0, 1.0)
+        series = chebyshev.chebint(coefficients, lbnd=-1)
+        assert abs(value - chebyshev.chebval(1.0, series)) <= 1e-13
+        assert error == pytest.approx(haar._FEJER_TAIL * (abs(series[14]) + abs(series[15])), rel=1e-12)
+        assert np.abs(np.array(haar._antiderivative(nodes)) - series).max() <= 1e-13
 
 
 def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
@@ -797,7 +825,7 @@ def test_a_custom_cdf_reads_its_panel_series_within_the_table_tolerance(law, low
     exact = u(upper) - u(lower)
     for x, mass in zip(grid, masses):
         assert abs(mass - (u(x) - u(lower)) / exact) <= 1e-10, x
-    # The series starts at 0 on each edge and ends at the panel's Kronrod value: cdf is continuous there.
+    # The series starts at 0 on each edge and ends at the panel's Fejer value: cdf is continuous there.
     for edge, below in zip(d.edges[1:-1], d.cumulative[1:-1]):
         assert abs(d.cdf(edge) - below / d.normalizer) <= 1e-15
         assert abs(d.cdf(math.nextafter(edge, -math.inf)) - below / d.normalizer) <= 1e-15

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ def test_collapse_is_idempotent_on_eigenstates():
 def test_collapse_on_impossible_outcome_is_an_error():
     # At theta = pi the +1 probability of spin-up rounds to 3.7e-33, not 0.
     for theta, outcome in ((0.0, -1), (math.pi, 1)):
-        with pytest.raises(ValueError, match="probability 0"):
+        with pytest.raises(ValueError, match=rf"^outcome {re.escape(f'{outcome:+d}')} has probability 0 "):
             collapse(SPIN_UP, observable(theta), outcome)
 
 

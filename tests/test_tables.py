@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -80,6 +81,27 @@ def test_int_probabilities_are_accepted_and_come_back_as_fractions():
     for p in (*(p for _, p in marginalize(table, {"a": "x", "b": "x"}).outcomes),
               *(p for _, p in condition(table, lambda label: True).outcomes)):
         assert type(p) is Fraction
+
+
+@pytest.mark.parametrize("outcome", [("a",), ("a", Fraction(1, 2), "b")], ids=["one", "three"])
+def test_an_outcome_that_is_not_a_pair_is_refused_by_name(outcome):
+    # Both used to be refused in tuple unpacking's words ("not enough values to unpack").
+    with pytest.raises(ValueError, match=rf"^outcome {re.escape(repr(outcome))} is not a \(label, probability\) pair$"):
+        ProbabilityTable((("b", Fraction(1, 2)), outcome))
+
+
+def test_a_marginal_whose_numerators_share_a_factor_of_2_equals_the_table_of_its_outcomes():
+    # (2, 2)/4 reduces to (1, 1)/2: a marginal that kept the unreduced form would not equal the checked table.
+    marginal = marginalize(uniform_table("abcd"), {"a": "x", "b": "x", "c": "y", "d": "y"})
+    assert marginal == ProbabilityTable(marginal.outcomes)
+    assert (marginal.numerators, marginal.denominator) == ((1, 1), 2)
+
+
+def test_probability_reads_the_outcome_of_its_label_and_refuses_a_missing_one():
+    table = ProbabilityTable((("a", Fraction(1, 6)), ("b", Fraction(1, 3)), ("c", Fraction(1, 2))))
+    assert [table.probability(label) for label in "cab"] == [Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)]
+    with pytest.raises(ValueError, match="^no outcome labelled 'd'$"):
+        table.probability("d")
 
 
 def test_a_table_without_outcomes_is_refused():
