@@ -38,8 +38,7 @@ class DieOrientation(Record):
                 raise ValueError(f"{name} face must be 1..6, got {face}")
         if north == up or north == 7 - up:
             raise ValueError(f"north face {north} is not adjacent to up face {up}")
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "north", north)
+        super().__init__(up, north)
 
     @property
     def label(self) -> str:
@@ -96,9 +95,7 @@ class GroupAction(Record):
         e = group.identity
         if any(act[e][s] != s for s in range(n_states)):
             raise ValueError("identity element must fix every state")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "act", act)
+        super().__init__(group, states, act)
 
 
 def coin_action() -> GroupAction:

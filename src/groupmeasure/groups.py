@@ -19,11 +19,11 @@ Matrix = tuple[tuple[int, int, int], ...]
 class FiniteGroup(Record):
     """A finite group given by its composition table: ``table[a][b]`` is the id of a∘b.
 
-    The order ``n`` is read from the table.  The constructor checks the table's shape and
-    the range of its entries and of ``identity``; ``oracle.verify_group_axioms`` checks
-    whether the table is a group.  An entry is in range when it is a member of the set of
-    ids 0..n-1, so a negative or too large int, ``nan`` and a str are refused by name.  A
-    float or bool equal to an id, such as ``1.0`` or ``True``, is a member and is accepted;
+    The order ``n`` is read from the table.  The constructor checks the table's shape and the range of
+    its entries and of ``identity``; ``oracle.verify_group_axioms`` checks whether the table is a group.
+    An entry is in range when it is a member of the set of ids 0..n-1, so a negative or too large int,
+    ``nan`` and a str are refused by name.  A float or bool equal to an id, such as ``1.0`` or ``True``,
+    is a member and is accepted, and ``element_order`` refuses such an entry by name where it meets one;
     ``identity`` must be an int.  The table and its rows are stored as tuples.
     """
 
@@ -42,10 +42,7 @@ class FiniteGroup(Record):
             raise ValueError(f"{label}: table entry {entry!r} outside 0..{n - 1}")
         if isinstance(identity, bool) or not isinstance(identity, int) or not 0 <= identity < n:
             raise ValueError(f"{label}: identity {identity!r} outside 0..{n - 1}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", identity)
+        super().__init__(label, n, table, identity)
 
     def elements(self) -> range:
         return range(self.n)
@@ -59,11 +56,15 @@ class FiniteGroup(Record):
             raise ValueError(f"{self.label}: element {a!r} outside 0..{self.n - 1}")
         acc = a
         k = 1
-        while acc != self.identity:
-            acc = self.table[acc][a]
-            k += 1
-            if k > self.n:
-                raise ValueError(f"{self.label}: element {a} generates no cycle; table is not a group")
+        try:
+            while acc != self.identity:
+                acc = self.table[acc][a]
+                k += 1
+                if k > self.n:
+                    raise ValueError(f"{self.label}: element {a} generates no cycle; table is not a group")
+        except TypeError:  # an entry equal to an id but no int, such as 2.0, failed as an index
+            _refuse_an_entry_that_is_no_int(f"{self.label}: table", self.table)
+            raise
         return k
 
     def order_census(self) -> dict[int, int]:
@@ -73,6 +74,14 @@ class FiniteGroup(Record):
             k = self.element_order(a)
             census[k] = census.get(k, 0) + 1
         return census
+
+
+def _refuse_an_entry_that_is_no_int(name: str, table) -> None:
+    """Raise a ValueError naming the first entry of ``table`` that is not an int, if there is one."""
+    for row, entries in enumerate(table):
+        for column, entry in enumerate(entries):
+            if not isinstance(entry, int):
+                raise ValueError(f"{name} entry {entry!r} at row {row}, column {column} is not an int") from None
 
 
 def _rotate(block: tuple[int, ...], shift: int) -> tuple[int, ...]:

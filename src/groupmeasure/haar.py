@@ -26,7 +26,7 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .record import Record, uniform_stream
@@ -52,20 +52,15 @@ class OneParamFamily(Record):
 
     __slots__ = ("chart", "compose", "identity")
 
-    def __init__(self, chart: _Chart, compose: Callable[[float, float], float], identity: float) -> None:
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "compose", compose)
-        object.__setattr__(self, "identity", identity)
-
 
 def translation_family() -> OneParamFamily:
     """Additive composition a + b with identity 0; weight constant."""
-    return OneParamFamily(TRANSLATION, lambda a, b: a + b, 0.0)
+    return OneParamFamily(TRANSLATION, add, 0.0)
 
 
 def scale_family() -> OneParamFamily:
     """Multiplicative composition a * b with identity 1 on positive reals; weight 1/p."""
-    return OneParamFamily(SCALE, lambda a, b: a * b, 1.0)
+    return OneParamFamily(SCALE, mul, 1.0)
 
 
 def custom_family(compose: Callable[[float, float], float], identity: float) -> OneParamFamily:
@@ -89,8 +84,7 @@ class IntervalConstraint(Record):
             raise ValueError("interval bounds must be finite")
         if not lower < upper:
             raise ValueError(f"degenerate interval [{lower}, {upper}]")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        super().__init__(lower, upper)
 
 
 def haar_weight(f: OneParamFamily, p: float) -> float:
@@ -110,15 +104,6 @@ class NormalizedDensity(Record):
     and for a quadrature table each panel's Chebyshev series of the integral from its left edge, per half-width."""
 
     __slots__ = ("family", "support", "normalizer", "edges", "cumulative", "series")
-
-    def __init__(self, family: OneParamFamily, support: IntervalConstraint, normalizer: float, edges: tuple[float, ...],
-                 cumulative: tuple[float, ...], series: tuple[tuple[float, ...], ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "normalizer", normalizer)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "cumulative", cumulative)
-        object.__setattr__(self, "series", series)
 
     @property
     def form(self) -> str:

@@ -20,6 +20,7 @@ from typing import Callable
 
 from .actions import DieOrientation, GroupAction, all_orientations, coin_action, die_action
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
+from .groups import _refuse_an_entry_that_is_no_int
 from .record import Record
 
 EigenPair = tuple[float, tuple[float, float]]
@@ -32,10 +33,7 @@ class CheckReport(Record):
     __slots__ = ("name", "passed", "worst_residual", "details")
 
     def __init__(self, name: str, passed: bool, worst_residual: float, details: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "worst_residual", worst_residual)
-        object.__setattr__(self, "details", details)
+        super().__init__(name, passed, worst_residual, details)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -83,14 +81,6 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
         _refuse_an_entry_that_is_no_int(f"{g.label}: table", table)
         raise
     return _count_report(f"group-axioms[{g.label}]", counts, f"order {n}")
-
-
-def _refuse_an_entry_that_is_no_int(name: str, table) -> None:
-    """Raise a ValueError naming the first entry of ``table`` that is not an int, if there is one."""
-    for row, entries in enumerate(table):
-        for column, entry in enumerate(entries):
-            if not isinstance(entry, int):
-                raise ValueError(f"{name} entry {entry!r} at row {row}, column {column} is not an int") from None
 
 
 def _count_report(name: str, counts: dict[str, int], fallback: str) -> CheckReport:
@@ -201,37 +191,28 @@ def cube_rotation_census() -> dict[int, int]:
     generated permutations of those states and an element's order is the lcm
     of its cycle lengths.
     """
-    start = (3, 2, 1)
-    states = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for move in (_roll_north, _spin_quarter):
-            t = move(s)
-            if t not in states:
-                states.add(t)
-                frontier.append(t)
-    ordered = sorted(states)
+    moves = (_roll_north, _spin_quarter)
+    ordered = sorted(_closure((3, 2, 1), lambda s: [move(s) for move in moves]))
     index = {s: i for i, s in enumerate(ordered)}
-    generators = [
-        tuple(index[move(s)] for s in ordered) for move in (_roll_north, _spin_quarter)
-    ]
-    identity = tuple(range(len(ordered)))
-    perms = {identity}
-    frontier_p = [identity]
-    while frontier_p:
-        p = frontier_p.pop()
-        for gen in generators:
-            q = tuple(gen[i] for i in p)
-            if q not in perms:
-                perms.add(q)
-                frontier_p.append(q)
-
+    generators = [tuple(index[move(s)] for s in ordered) for move in moves]
+    perms = _closure(tuple(range(len(ordered))), lambda p: [tuple(gen[i] for i in p) for gen in generators])
     census: dict[int, int] = {}
     for p in perms:
         order = _permutation_order(p)
         census[order] = census.get(order, 0) + 1
     return census
+
+
+def _closure(start: tuple, successors: Callable[[tuple], list[tuple]]) -> set[tuple]:
+    """Everything reachable from ``start`` by ``successors``, depth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for t in successors(frontier.pop()):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
 
 
 def _permutation_order(p: tuple[int, ...]) -> int:

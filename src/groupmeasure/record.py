@@ -1,7 +1,8 @@
 """Immutable value records, the base of every result and parameter type in the package, and its RNG contract.
 
-A subclass names its fields in ``__slots__`` and stores them from its own
-``__init__`` with ``object.__setattr__``, after checking them.  ``Record``
+A subclass names its fields in ``__slots__``.  ``Record.__init__`` stores one
+value per field, in slot order, and refuses any other count; a subclass that
+checks its fields does so in its own ``__init__`` and then calls it.  ``Record``
 compares, hashes, orders and prints instances by those fields, in slot order,
 and refuses any later assignment or deletion.
 
@@ -24,6 +25,13 @@ class Record:
     def __init_subclass__(cls) -> None:
         # The field values as one tuple (one bare value for a one-field record), read at C speed.
         cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values: object) -> None:
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{self.__class__.__name__} takes {len(slots)} fields, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -48,8 +48,7 @@ class Scenario(Record):
         spec = _spec(kind)
         if len(params) != len(spec.options):
             raise ScenarioError(f"a {kind} scenario has {len(spec.options)} params, got {len(params)}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", spec.check(*map(_plain, params)))
+        super().__init__(kind, spec.check(*map(_plain, params)))
 
     def canonical_json(self) -> str:
         """Canonical JSON form: kind first, then the set keys in order."""
@@ -150,11 +149,7 @@ class Report(Record):
 
     def __init__(self, kind: str, summary: tuple[tuple[str, Any], ...], outcomes: ProbabilityTable | None = None,
                  columns: tuple[str, ...] = (), records: tuple[tuple[Any, ...], ...] = ()) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "records", records)
+        super().__init__(kind, summary, outcomes, columns, records)
 
 
 def _run_coin() -> Report:

@@ -49,9 +49,7 @@ class ProbabilityTable(Record):
         total = sum(numerators)
         if total != denominator:
             raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
+        super().__init__(outcomes, numerators, denominator)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
@@ -99,9 +97,7 @@ def _over(labels: Iterable[str], numerators: Collection[int], denominator: int) 
         numerators = [n // common for n in numerators]
     values = {n: Fraction(n, denominator) for n in set(numerators)}
     table = object.__new__(ProbabilityTable)
-    object.__setattr__(table, "outcomes", tuple(zip(labels, map(values.__getitem__, numerators))))
-    object.__setattr__(table, "numerators", tuple(numerators))
-    object.__setattr__(table, "denominator", denominator)
+    Record.__init__(table, tuple(zip(labels, map(values.__getitem__, numerators))), tuple(numerators), denominator)
     return table
 
 

@@ -237,6 +237,16 @@ def test_the_order_of_an_element_outside_the_group_is_refused_by_name(a):
         make_cyclic(5).element_order(a)
 
 
+def test_the_order_of_an_element_that_meets_an_entry_that_is_no_int_is_refused_by_name():
+    # 2.0 equals an id, so the constructor accepts it, and used to fail as an index with a bare TypeError.
+    g = FiniteGroup("t", ((0, 1, 2), (1, 2.0, 0), (2, 0, 1)), 0)
+    words = r"^t: table entry 2\.0 at row 1, column 1 is not an int$"
+    with pytest.raises(ValueError, match=words):
+        g.element_order(1)
+    with pytest.raises(ValueError, match=words):
+        g.order_census()
+
+
 @pytest.mark.parametrize(
     "rows, words",
     [((), "group order must be positive, got 0"), (((0, 1), (1,)), "t: composition table must be 2x2")],

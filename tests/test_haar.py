@@ -546,6 +546,21 @@ def test_pushforward_scale_supports_pure_rescaling_only():
         d.pushforward_affine(1.0, 1.0)
 
 
+def test_built_in_families_and_their_densities_are_values():
+    # Each call used to make a new lambda for the law, so two calls gave families, and densities,
+    # that compared unequal and hashed apart although they hold the same fields.
+    assert translation_family() == translation_family()
+    assert scale_family() == scale_family()
+    assert translation_family() != scale_family()
+    assert hash(translation_family()) == hash(translation_family())
+    assert hash(scale_family()) == hash(scale_family())
+    c = IntervalConstraint(1.0, 3.0)
+    assert normalize(scale_family(), c) == normalize(scale_family(), c)
+    assert hash(normalize(scale_family(), c)) == hash(normalize(scale_family(), c))
+    assert von_mises_reduce(1, 2) == von_mises_reduce(1, 2)
+    assert hash(von_mises_reduce(1, 2)) == hash(von_mises_reduce(1, 2))
+
+
 def test_von_mises_classic_bounds():
     d = von_mises_reduce(1.0, 2.0)
     assert d.support.lower == pytest.approx(0.5, abs=1e-15)

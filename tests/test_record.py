@@ -118,6 +118,28 @@ def test_a_record_built_from_lists_keeps_what_it_checked(cls, arguments):
     assert repr(record) == repr(from_tuples)
 
 
+def _fields(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+# Records with no constructor of their own: Record.__init__ is the one check of their arity.
+NO_INIT = {
+    "OneParamFamily": (haar.OneParamFamily, (haar.CUSTOM, _law, 0.0)),
+    "NormalizedDensity": (haar.NormalizedDensity, _fields(MAKERS["NormalizedDensity"]())),
+    "SpinObservable": (spin.SpinObservable, (0.0, ((1.0, 0.0), (0.0, -1.0)))),
+}
+
+
+@pytest.mark.parametrize("cls, fields", NO_INIT.values(), ids=NO_INIT.keys())
+def test_a_record_without_a_constructor_refuses_one_value_too_few_or_too_many(cls, fields):
+    n = len(fields)
+    assert _fields(cls(*fields)) == fields
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} takes {n} fields, got {n - 1}$"):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} takes {n} fields, got {n + 1}$"):
+        cls(*fields, None)
+
+
 def test_die_orientations_sort_and_dedupe():
     o = actions.DieOrientation
     assert sorted([o(2, 1), o(1, 3), o(1, 2)]) == [o(1, 2), o(1, 3), o(2, 1)]
