@@ -23,7 +23,7 @@ class FiniteGroup(Record):
     its entries and of ``identity``; ``oracle.verify_group_axioms`` checks whether the table is a group.
     An entry is in range when it is a member of the set of ids 0..n-1, so a negative or too large int,
     ``nan`` and a str are refused by name.  A float or bool equal to an id, such as ``1.0`` or ``True``,
-    is a member and is accepted, and ``element_order`` refuses such an entry by name where it meets one;
+    is a member and is accepted, and ``element_order`` refuses a float entry by name where it meets one;
     ``identity`` must be an int.  The table and its rows are stored as tuples.
     """
 
@@ -54,17 +54,16 @@ class FiniteGroup(Record):
         """Smallest k >= 1 such that composing a with itself k times gives the identity; a is an int, as identity is."""
         if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.n:
             raise ValueError(f"{self.label}: element {a!r} outside 0..{self.n - 1}")
-        acc = a
+        acc = row = a
         k = 1
         try:
             while acc != self.identity:
-                acc = self.table[acc][a]
+                row, acc = acc, self.table[acc][a]
                 k += 1
                 if k > self.n:
                     raise ValueError(f"{self.label}: element {a} generates no cycle; table is not a group")
-        except TypeError:  # an entry equal to an id but no int, such as 2.0, failed as an index
-            _refuse_an_entry_that_is_no_int(f"{self.label}: table", self.table)
-            raise
+        except TypeError:  # acc, the entry at (row, a), equals an id but is no int, such as 2.0
+            raise ValueError(f"{self.label}: table entry {acc!r} at row {row}, column {a} is not an int") from None
         return k
 
     def order_census(self) -> dict[int, int]:
@@ -74,14 +73,6 @@ class FiniteGroup(Record):
             k = self.element_order(a)
             census[k] = census.get(k, 0) + 1
         return census
-
-
-def _refuse_an_entry_that_is_no_int(name: str, table) -> None:
-    """Raise a ValueError naming the first entry of ``table`` that is not an int, if there is one."""
-    for row, entries in enumerate(table):
-        for column, entry in enumerate(entries):
-            if not isinstance(entry, int):
-                raise ValueError(f"{name} entry {entry!r} at row {row}, column {column} is not an int") from None
 
 
 def _rotate(block: tuple[int, ...], shift: int) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ from typing import Callable
 
 from .actions import DieOrientation, GroupAction, all_orientations, coin_action, die_action
 from .groups import FiniteGroup, direct_product, make_coin_group, make_cyclic, make_dihedral, make_octahedral
-from .groups import _refuse_an_entry_that_is_no_int
 from .record import Record
 
 EigenPair = tuple[float, tuple[float, float]]
@@ -81,6 +80,14 @@ def verify_group_axioms(g: FiniteGroup) -> CheckReport:
         _refuse_an_entry_that_is_no_int(f"{g.label}: table", table)
         raise
     return _count_report(f"group-axioms[{g.label}]", counts, f"order {n}")
+
+
+def _refuse_an_entry_that_is_no_int(name: str, table) -> None:
+    """Raise a ValueError naming the first entry of ``table`` that is not an int, if there is one."""
+    for row, entries in enumerate(table):
+        for column, entry in enumerate(entries):
+            if not isinstance(entry, int):
+                raise ValueError(f"{name} entry {entry!r} at row {row}, column {column} is not an int") from None
 
 
 def _count_report(name: str, counts: dict[str, int], fallback: str) -> CheckReport:

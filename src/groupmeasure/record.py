@@ -1,8 +1,9 @@
 """Immutable value records, the base of every result and parameter type in the package, and its RNG contract.
 
 A subclass names its fields in ``__slots__``.  ``Record.__init__`` stores one
-value per field, in slot order, and refuses any other count; a subclass that
-checks its fields does so in its own ``__init__`` and then calls it.  ``Record``
+value per field, in slot order, given by position or by field name, and refuses
+any other count or an unknown name; a subclass that checks its fields does so in
+its own ``__init__`` and then calls it.  ``Record``
 compares, hashes, orders and prints instances by those fields, in slot order,
 and refuses any later assignment or deletion.
 
@@ -26,8 +27,13 @@ class Record:
         # The field values as one tuple (one bare value for a one-field record), read at C speed.
         cls._values = attrgetter(*cls.__slots__)
 
-    def __init__(self, *values: object) -> None:
+    def __init__(self, *values: object, **named: object) -> None:
         slots = self.__slots__
+        if named:  # the fields after the positional ones, in slot order
+            for name in named.keys() - slots[len(values):]:
+                verb = "got field {!r} twice" if name in slots else "has no field {!r}"
+                raise TypeError(f"{self.__class__.__name__} " + verb.format(name))
+            values += tuple(named[name] for name in slots[len(values):] if name in named)
         if len(values) != len(slots):
             raise TypeError(f"{self.__class__.__name__} takes {len(slots)} fields, got {len(values)}")
         for name, value in zip(slots, values):

@@ -35,9 +35,7 @@ class SpinRay(Record):
         norm_sq = up_mod * up_mod + down_mod * down_mod
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"ray is not normalized: |up|^2 + |down|^2 = {norm_sq}")
-        # Stored directly, not through Record.__init__: a chain builds tens of rays per op, 2x faster this way.
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
+        super().__init__(up, down)
 
 
 SPIN_UP = SpinRay(1.0 + 0.0j, 0.0j)
@@ -126,10 +124,7 @@ class MeasurementOutcome(Record):
     __slots__ = ("eigenvalue", "probability", "post_state")
 
     def __init__(self, eigenvalue: int, probability: float, post_state: SpinRay) -> None:
-        # Stored directly, not through Record.__init__: a chain builds tens of outcomes per op, as SpinRay does.
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "post_state", post_state)
+        super().__init__(eigenvalue, probability, post_state)
 
 
 def transition_table(initial: SpinRay, thetas: Sequence[float]) -> tuple:

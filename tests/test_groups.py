@@ -245,6 +245,10 @@ def test_the_order_of_an_element_that_meets_an_entry_that_is_no_int_is_refused_b
         g.element_order(1)
     with pytest.raises(ValueError, match=words):
         g.order_census()
+    # Two float entries: the one named is 2.0, which the walk from 1 fails on, not 1.0, the first in the table.
+    g = FiniteGroup("z", ((0, 1.0, 2), (1, 2.0, 0), (2, 0, 1)), 0)
+    with pytest.raises(ValueError, match=r"^z: table entry 2\.0 at row 1, column 1 is not an int$"):
+        g.element_order(1)
 
 
 @pytest.mark.parametrize(

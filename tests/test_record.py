@@ -140,6 +140,20 @@ def test_a_record_without_a_constructor_refuses_one_value_too_few_or_too_many(cl
         cls(*fields, None)
 
 
+@pytest.mark.parametrize("cls, fields", NO_INIT.values(), ids=NO_INIT.keys())
+def test_a_record_without_a_constructor_takes_its_fields_by_name(cls, fields):
+    named = dict(zip(cls.__slots__, fields))
+    assert cls(**named) == cls(*fields)
+    assert cls(fields[0], **dict(list(named.items())[1:])) == cls(*fields)
+    first = cls.__slots__[0]
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} has no field 'nope'$"):
+        cls(*fields, nope=None)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} got field '{first}' twice$"):
+        cls(*fields, **{first: fields[0]})
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} takes {len(fields)} fields, got {len(fields) - 1}$"):
+        cls(**{name: value for name, value in named.items() if name != first})
+
+
 def test_die_orientations_sort_and_dedupe():
     o = actions.DieOrientation
     assert sorted([o(2, 1), o(1, 3), o(1, 2)]) == [o(1, 2), o(1, 3), o(2, 1)]
