@@ -84,8 +84,8 @@ def make_cyclic(n: int) -> FiniteGroup:
 
     Row i is 0..n-1 rotated left by i, so every row shares one set of ints.
     """
-    if n < 1:
-        raise ValueError(f"cyclic group order must be at least 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cyclic group order must be at least 1, got {n!r}")
     elements = tuple(range(n))
     return FiniteGroup(f"C{n}", tuple(_rotate(elements, i) for i in range(n)), 0)
 
@@ -97,8 +97,8 @@ def make_dihedral(k: int) -> FiniteGroup:
     and f^s r^t ∘ f r^u = f^(1-s) r^(u-t): row s*k + t is block s rotated left by t,
     then block 1-s rotated right by t, where block s holds the ids s*k .. s*k + k-1.
     """
-    if k < 1:
-        raise ValueError(f"dihedral parameter must be at least 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"dihedral parameter must be at least 1, got {k!r}")
     blocks = (tuple(range(k)), tuple(range(k, 2 * k)))
     table = tuple(_rotate(blocks[s], t) + _rotate(blocks[1 - s], -t % k) for s in (0, 1) for t in range(k))
     return FiniteGroup(f"D{k}", table, 0)

@@ -154,8 +154,8 @@ class NormalizedDensity(Record):
     def sample(self, seed: int, n: int) -> list[float]:
         """Inverse-transform sampling of ``uniform_stream(seed)``, the draws of ``random.Random(seed)``; the seed
         must be an int."""
-        if n < 1:
-            raise ValueError(f"sample count must be at least 1, got {n}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"sample count must be at least 1, got {n!r}")
         draw = uniform_stream(seed)
         return [self.quantile(draw()) for _ in range(n)]
 
@@ -232,7 +232,7 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
 
     The difference's rounding bound is the same at every node, so the quadrature's error estimate does not see
     it: past _FD_NOISE_CAP of |rate| the node is refused, and below it the bound sets the table's noise floor,
-    ``_rate_noise``.  A law that overflows binary64 is refused at p."""
+    ``_rate_noise``.  A law that overflows binary64 or divides by zero is refused at p."""
     try:
         try:
             rate = f.compose(p, complex(f.identity, _COMPLEX_STEP)).imag / _COMPLEX_STEP
@@ -244,6 +244,8 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
                                  f"{_FD_NOISE_CAP:g}; write the law with cmath so that it takes the complex step")
     except OverflowError as err:
         raise ValueError(f"composition law overflows binary64 at p={p}") from err
+    except ZeroDivisionError as err:
+        raise ValueError(f"composition law divides by zero at p={p}") from err
     if not math.isfinite(rate) or rate <= 0:
         raise ValueError(f"composition rate {rate} at p={p} gives no positive weight")
     return 1.0 / rate
@@ -251,8 +253,8 @@ def _rate_weight(f: OneParamFamily, p: float) -> float:
 
 def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
     """0 if the law takes the complex step; else the largest relative rounding bound of the central difference
-    at the 7 nodes cos(j pi / 8) of c, the nested 7-point rule's.  The table's first panel has already
-    evaluated each and kept it within _FD_NOISE_CAP."""
+    at the 7 nodes cos(j pi / 8) of c, the nested 7-point rule's, every other pair of ``_fejer``'s.  The
+    table's first panel has already evaluated each and kept it within _FD_NOISE_CAP."""
     center, half = 0.5 * (c.lower + c.upper), 0.5 * (c.upper - c.lower)
     try:
         f.compose(center, complex(f.identity, _COMPLEX_STEP))
@@ -261,7 +263,7 @@ def _rate_noise(f: OneParamFamily, c: IntervalConstraint) -> float:
     else:
         return 0.0
     h = _FD_STEP * max(abs(f.identity), 1.0)
-    nodes = [center, *(center + side * half * math.cos(j * math.pi / 8) for j in range(1, 4) for side in (-1, 1))]
+    nodes = [center, *(center + side * half * x for x in _fejer()[0][1::2] for side in (-1, 1))]
     return max(rounding / rate for rate, rounding in (_central_difference(f, p, h) for p in nodes))
 
 
@@ -310,7 +312,7 @@ _FEJER_TAIL = 8.0  # a panel's error estimate, per half-width, in units of |b_14
 
 
 @functools.cache
-def _fejer() -> tuple[float, float, tuple[tuple[float, ...], ...], list[list[float]], list[list[float]]]:
+def _fejer() -> tuple[list[float], list[float], list[list[float]], list[list[float]]]:
     """Fejer's second rule on [-1, 1] (Fejer, Math. Z. 37, 1933; Waldvogel, BIT 46, 2006), at the 15 interior
     points cos(j pi / 16): the center, j = 8, and the pairs +-x, j = 1..7 from the outermost in.  Its rows take
     the node values to the Chebyshev coefficients b_k of U(t) = integral from -1 to t of p, the degree-14
@@ -318,32 +320,28 @@ def _fejer() -> tuple[float, float, tuple[tuple[float, ...], ...], list[list[flo
     degree 15, so the values v_j at theta_j = j pi / 16 give it exactly: k b_k = (1/8) sum_j v_j sin theta_j
     sin(k theta_j).  sin(k (pi - theta)) = +-sin(k theta) for odd and even k, so the odd b_k read the 8 sums
     v(0), v(-x) + v(x) and the even b_k the 7 differences v(x) - v(-x).  The weights on the sums give the
-    value U(1) = 2 (b_1 + b_3 + ... + b_15).  Returns the center's weight and b_15 entry, per pair (x, weight,
-    b_15 entry, b_14 entry), and the rows of b_1, b_3, ..., b_15 and of b_2, b_4, ..., b_14."""
+    value U(1) = 2 (b_1 + b_3 + ... + b_15).  Returns the pairs' abscissae x, the weights on the 8 sums, and
+    the rows of b_1, b_3, ..., b_15 and of b_2, b_4, ..., b_14."""
     angles = [0.5 * math.pi, *(j * math.pi / 16 for j in range(1, 8))]
     odd = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles] for k in range(1, 16, 2)]
     even = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles[1:]] for k in range(2, 15, 2)]
-    weights = [2.0 * sum(column) for column in zip(*odd)]
-    pairs = tuple(zip([math.cos(a) for a in angles[1:]], weights[1:], odd[-1][1:], even[-1]))
-    return weights[0], odd[-1][0], pairs, odd, even
+    return [math.cos(a) for a in angles[1:]], [2.0 * sum(column) for column in zip(*odd)], odd, even
 
 
 def _panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[list[float], list[float]]]:
-    """Fejer integral of f's weight over [a, b], its error estimate _FEJER_TAIL * half * (|b_14| + |b_15|),
-    and the weight v at the nodes x of [-1, 1]: the 8 sums v(0), v(-x) + v(x) and the 7 differences
-    v(x) - v(-x).  The center is evaluated first, then the pairs from the outermost in, left before right."""
+    """Fejer integral of f's weight v over [a, b], its error estimate _FEJER_TAIL * half * (|b_14| + |b_15|),
+    both read by ``_fejer``'s rows from the 8 sums v(0), v(-x) + v(x) and 7 differences v(x) - v(-x), and
+    those.  v is evaluated at the center first, then at the pairs +-x from the outermost in, left before right."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
-    f_center = haar_weight(f, center)
     weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
-    center_weight, center_b15, pairs, _, _ = _fejer()
-    value, b15, b14 = center_weight * f_center, center_b15 * f_center, 0.0
-    sums, differences = [f_center], []
-    for x, w, row15, row14 in pairs:
+    abscissae, weights, odd_rows, even_rows = _fejer()
+    sums, differences = [haar_weight(f, center)], []
+    for x in abscissae:
         left, right = weight(f, center - half * x), weight(f, center + half * x)
-        pair, difference = left + right, right - left
-        value, b15, b14 = value + w * pair, b15 + row15 * pair, b14 + row14 * difference
-        sums.append(pair)
-        differences.append(difference)
+        sums.append(left + right)
+        differences.append(right - left)
+    value = sum(map(mul, weights, sums))
+    b15, b14 = sum(map(mul, odd_rows[-1], sums)), sum(map(mul, even_rows[-1], differences))
     return half * value, _FEJER_TAIL * half * (abs(b14) + abs(b15)), (sums, differences)
 
 
@@ -352,7 +350,7 @@ def _antiderivative(nodes: tuple[list[float], list[float]]) -> tuple[float, ...]
     panel's left edge to x, divided by half: the rows of ``_fejer``, and b_0 from U(-1) = 0.  At t = 1 the
     series is the panel's Fejer value, so cdf is continuous at every edge of the table."""
     sums, differences = nodes
-    *_, odd_rows, even_rows = _fejer()
+    _, _, odd_rows, even_rows = _fejer()
     series = [0.0] * 16
     series[1::2] = [sum(map(mul, row, sums)) for row in odd_rows]
     series[2::2] = [sum(map(mul, row, differences)) for row in even_rows]

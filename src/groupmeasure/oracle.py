@@ -133,7 +133,7 @@ def _associates_through(table, s: int) -> bool:
 
 def _associativity_violations(table) -> int:
     """Every triple with (a∘b)∘c != a∘(b∘c), counted a row pair (a, b) at a time."""
-    through = [itemgetter(*row) for row in table] if len(table) > 1 else [lambda row: row]
+    through = [itemgetter(*row) for row in table]
     return sum(
         sum(map(ne, table[ab], composed))
         for row in table

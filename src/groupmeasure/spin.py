@@ -92,8 +92,8 @@ def probabilities(ray: SpinRay, obs: SpinObservable) -> tuple[float, float]:
 
 def collapse(ray: SpinRay, obs: SpinObservable, outcome: int) -> SpinRay:
     """Post-measurement state: the eigenvector of the observed eigenvalue, read from the one-step chain table."""
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    if type(outcome) is not int or outcome not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     observed = transition_table(ray, (obs.theta,))[0][0][1 if outcome == 1 else 2]
     if type(observed) is str:
         raise ValueError(observed)
@@ -122,9 +122,6 @@ class MeasurementOutcome(Record):
     """One step of a measurement chain: observed eigenvalue, its probability, post state."""
 
     __slots__ = ("eigenvalue", "probability", "post_state")
-
-    def __init__(self, eigenvalue: int, probability: float, post_state: SpinRay) -> None:
-        super().__init__(eigenvalue, probability, post_state)
 
 
 def transition_table(initial: SpinRay, thetas: Sequence[float]) -> tuple:

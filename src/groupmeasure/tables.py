@@ -1,12 +1,12 @@
 """Exact-rational probability tables: marginalization, conditioning, factorization.
 
-Probabilities are ``fractions.Fraction`` values (or ints) at the API.  A table
-holds its integer form: the probabilities as integer numerators over their
-least common denominator.  The constructor checks outside input and derives
-that form; the uniform, marginal and conditional tables are built from the
-integer form their operation already holds.  Every sum, quotient and
-comparison is done on those ints, and a ``Fraction`` is made only for a value
-returned, once per distinct value.  No floating point enters this module.
+Probabilities are ``fractions.Fraction`` values (or ints) at the API.  A table holds its
+integer form: the probabilities as integer numerators over their least common
+denominator.  The constructor checks outside input in one pass, naming the first faulty
+outcome, and derives that form; the uniform, marginal and conditional tables are built
+from the integer form their operation already holds.  Every sum, quotient and comparison
+is done on those ints, and a ``Fraction`` is made only for a value returned, once per
+distinct value.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -34,18 +34,9 @@ class ProbabilityTable(Record):
         outcomes = tuple(map(tuple, outcomes))
         if not outcomes:
             raise ValueError("probability table must have at least one outcome")
-        try:
-            labels = [label for label, _ in outcomes]
-        except ValueError:  # an outcome that unpacks into other than two values
-            outcome = next(outcome for outcome in outcomes if len(outcome) != 2)
-            raise ValueError(f"outcome {outcome!r} is not a (label, probability) pair") from None
-        probabilities = [p for _, p in outcomes]
-        if len(set(labels)) < len(labels) or not _EXACT_TYPES.issuperset(map(type, probabilities)):
-            _refuse_first_outcome(outcomes)
-        denominator = lcm(*[p.denominator for p in probabilities])
-        numerators = tuple([p.numerator * (denominator // p.denominator) for p in probabilities])
-        if min(numerators) < 0:
-            _refuse_first_outcome(outcomes)
+        _refuse_first_outcome(outcomes)
+        denominator = lcm(*[p.denominator for _, p in outcomes])
+        numerators = tuple([p.numerator * (denominator // p.denominator) for _, p in outcomes])
         total = sum(numerators)
         if total != denominator:
             raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
@@ -62,9 +53,12 @@ class ProbabilityTable(Record):
 
 
 def _refuse_first_outcome(outcomes: tuple[tuple[str, Fraction], ...]) -> None:
-    """Raise the refusal of the first outcome whose label repeats, or whose probability is inexact or negative."""
+    """Raise the refusal of the first faulty outcome: no pair, a repeated label, or an inexact or negative p."""
     seen = set()
-    for label, p in outcomes:
+    for outcome in outcomes:
+        if len(outcome) != 2:
+            raise ValueError(f"outcome {outcome!r} is not a (label, probability) pair")
+        label, p = outcome
         if label in seen:
             raise ValueError(f"duplicate outcome label {label!r}")
         seen.add(label)

@@ -9,15 +9,20 @@ file unchanged; a deliberate change to the output regenerates the corpus with
 
 which rewrites and names each case whose output differs from its file, so
 the changed files can be checked against the change that explains them
-and committed together with it.
+and committed together with it.  The same command rewrites
+``tests/golden/custom_families.txt``, the custom laws' tables at the CLI's 12
+significant digits: no CLI command builds a custom family, so this file is
+what pins the custom path (its panels, series and ITP steps) byte for byte.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import difflib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,6 +62,38 @@ CASES.update({
     "error_scale_negative_lower": ["prior", "--family", "scale", "--lower", "-1", "--upper", "2"],
     "error_unknown_key_in_file": ["scenario", "run", "unknown_key.json"],
 })
+
+# Custom laws, each on an interval: law name, compose, identity, lower, upper.  The last is refused.
+CUSTOM_TABLES = "custom_families"
+_CUSTOM_LAWS = (
+    ("a*b", lambda a, b: a * b, 1.0, 0.5, 8.0),
+    ("a+b+ab", lambda a, b: a + b + a * b, 0.0, 0.0, 20.0),
+    ("math asinh(sinh a + sinh b)", lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0, -2.0, 3.0),
+    ("cmath asinh(sinh a + sinh b)", lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0, -6.0, 6.0),
+    ("math asinh(sinh a + sinh b)", lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0, 20.0, 20.1),
+)
+
+
+def custom_report() -> str:
+    """Per custom law: the normalizer, the panel count, cdf at 5 points, quantile at 5 levels and
+    3 draws of seed 7, at 12 significant digits; or the refusal's text."""
+    from groupmeasure.haar import IntervalConstraint, custom_family, normalize
+
+    lines = []
+    for name, compose, identity, lower, upper in _CUSTOM_LAWS:
+        lines.append(f"law {name}, identity {identity:.12g}, interval [{lower:.12g}, {upper:.12g}]")
+        try:
+            d = normalize(custom_family(compose, identity), IntervalConstraint(lower, upper))
+        except ValueError as refused:
+            lines.append(f"refused: {refused}")
+            continue
+        points = [lower + (upper - lower) * t for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        lines.append(f"normalizer {d.normalizer:.12g}")
+        lines.append(f"panels {len(d.edges) - 1}")
+        lines.extend(f"cdf({x:.12g}) {d.cdf(x):.12g}" for x in points)
+        lines.extend(f"quantile({q:.12g}) {d.quantile(q):.12g}" for q in (0.01, 0.25, 0.5, 0.75, 0.99))
+        lines.append("sample(7, 3) " + " ".join(f"{x:.12g}" for x in d.sample(7, 3)))
+    return "\n".join(lines) + "\n"
 
 
 def run_case(argv: list[str]) -> str:
@@ -111,6 +148,11 @@ def test_cli_output_matches_golden_corpus():
     assert not differing, "CLI output differs from tests/golden:\n" + "\n".join(differing)
 
 
+def test_custom_family_tables_match_golden():
+    actual = custom_report()
+    assert actual == committed(CUSTOM_TABLES), _visible_diff(CUSTOM_TABLES, committed(CUSTOM_TABLES), actual)
+
+
 def _refuse_constant(name: str) -> None:
     raise ValueError(f"{name} is not valid JSON")
 
@@ -126,15 +168,18 @@ def test_json_goldens_are_strict_json():
 
 def regenerate() -> list[str]:
     """Rewrite each case whose command, exit code, stdout or stderr differs from its file, and name it."""
-    changed = []
-    for name, argv in CASES.items():
-        actual = run_case(argv)
-        if actual != committed(name):
-            golden_path(name).write_bytes(actual.encode("utf-8"))
-            changed.append(name)
-            print(f"changed: {name}", file=sys.stderr)
+    changed = [name for name, argv in CASES.items() if _rewrite(name, run_case(argv))]
     print(f"{len(changed)} of {len(CASES)} golden files changed in {GOLDEN_DIR}", file=sys.stderr)
     return changed
+
+
+def _rewrite(name: str, actual: str) -> bool:
+    """Write actual to the golden file of name if it differs, and say so."""
+    if actual == committed(name):
+        return False
+    golden_path(name).write_bytes(actual.encode("utf-8"))
+    print(f"changed: {name}", file=sys.stderr)
+    return True
 
 
 def test_regenerate_names_only_the_cases_that_differ(tmp_path, monkeypatch, capsys):
@@ -152,3 +197,5 @@ def test_regenerate_names_only_the_cases_that_differ(tmp_path, monkeypatch, caps
 
 if __name__ == "__main__":
     regenerate()
+    if not _rewrite(CUSTOM_TABLES, custom_report()):
+        print(f"unchanged: {CUSTOM_TABLES}", file=sys.stderr)

@@ -45,6 +45,23 @@ def test_cyclic_rejects_order_zero():
         make_cyclic(0)
 
 
+@pytest.mark.parametrize(
+    "make, size, words",
+    [
+        (make_cyclic, True, "cyclic group order"),
+        (make_cyclic, "3", "cyclic group order"),
+        (make_cyclic, 2.5, "cyclic group order"),
+        (make_dihedral, 2.5, "dihedral parameter"),
+        (make_dihedral, True, "dihedral parameter"),
+    ],
+    ids=["cyclic-bool", "cyclic-str", "cyclic-float", "dihedral-float", "dihedral-bool"],
+)
+def test_a_group_size_that_is_a_bool_or_no_int_is_refused_by_name(make, size, words):
+    # make_cyclic(True) used to build a group labelled CTrue, and a str or a float raised a bare TypeError.
+    with pytest.raises(ValueError, match=rf"^{words} must be at least 1, got {re.escape(repr(size))}$"):
+        make(size)
+
+
 def test_dihedral_three_has_six_elements():
     assert make_dihedral(3).n == 6
 

@@ -147,6 +147,16 @@ def test_a_law_that_overflows_binary64_is_refused_at_its_parameter(module):
         normalize(family, IntervalConstraint(1e3, 1e3 + 1.0))
 
 
+@pytest.mark.parametrize("rate", [lambda b: b, math.tanh], ids=["complex-step", "central-difference"])
+def test_a_law_that_divides_by_zero_is_refused_at_its_node(rate):
+    # The law's pole at a = 3 raised a bare ZeroDivisionError from haar_weight and from normalize.
+    pole = custom_family(lambda a, b: a + rate(b) * (1.0 + 1.0 / (a - 3.0)), 0.0)
+    with pytest.raises(ValueError, match=r"^composition law divides by zero at p=3\.0$"):
+        haar_weight(pole, 3.0)
+    with pytest.raises(ValueError, match=r"^composition law divides by zero at p=3\.0$"):
+        normalize(pole, IntervalConstraint(2.0, 4.0))
+
+
 def test_the_noise_floor_is_0_for_the_complex_step_and_the_rounding_bound_otherwise():
     with_math = custom_family(lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0)
     with_cmath = custom_family(lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0)
@@ -277,10 +287,15 @@ def test_degenerate_interval_is_rejected():
     [
         (lambda: IntervalConstraint(math.nan, 1.0), "interval bounds must be finite"),
         (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, 0), "sample count must be at least 1, got 0"),
+        # A float or a str count raised a bare TypeError, and True gave one draw.
+        (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, 2.5), r"sample count must be at least 1, got 2\.5"),
+        (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, "3"), "sample count must be at least 1, got '3'"),
+        (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, True), "sample count must be at least 1, got True"),
         (lambda: normalize(custom_family(lambda a, b: a - b, 0.0), IntervalConstraint(1.0, 2.0)),
          r"composition rate -1\.0 at p=1\.5 gives no positive weight"),
     ],
-    ids=["interval_bound_nan", "sample_count_zero", "custom_rate_negative"],
+    ids=["interval_bound_nan", "sample_count_zero", "sample_count_float", "sample_count_str", "sample_count_bool",
+         "custom_rate_negative"],
 )
 def test_a_call_outside_its_domain_is_refused_in_its_own_words(call, words):
     with pytest.raises(ValueError, match=f"^{words}$"):

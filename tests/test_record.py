@@ -127,6 +127,7 @@ NO_INIT = {
     "OneParamFamily": (haar.OneParamFamily, (haar.CUSTOM, _law, 0.0)),
     "NormalizedDensity": (haar.NormalizedDensity, _fields(MAKERS["NormalizedDensity"]())),
     "SpinObservable": (spin.SpinObservable, (0.0, ((1.0, 0.0), (0.0, -1.0)))),
+    "MeasurementOutcome": (spin.MeasurementOutcome, (-1, 0.25, spin.SPIN_DOWN)),
 }
 
 

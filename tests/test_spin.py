@@ -262,6 +262,13 @@ def test_collapse_validates_outcome_value():
         collapse(SPIN_UP, observable(0.0), 2)
 
 
+@pytest.mark.parametrize("outcome", [1.0, True, -1.0, "1"], ids=["float", "bool", "negative-float", "str"])
+def test_collapse_refuses_an_outcome_that_is_not_the_int_1_or_minus_1(outcome):
+    # 1.0 and True used to collapse onto the +1 eigenvector.
+    with pytest.raises(ValueError, match=rf"^outcome must be \+1 or -1, got {re.escape(repr(outcome))}$"):
+        collapse(SPIN_UP, observable(0.7), outcome)
+
+
 @given(obs_angle=angles, outcome_seed=st.integers(min_value=0, max_value=10))
 def test_remeasurement_after_collapse_is_certain(obs_angle, outcome_seed):
     obs = observable(obs_angle)

@@ -67,8 +67,11 @@ def test_a_probability_that_is_not_an_int_or_a_fraction_is_refused(outcomes, lab
         ((("a", 1), ("b", 0.5), ("b", Fraction(-1, 2))), "probability 0.5 for outcome 'b' is not an int or a Fraction"),
         ((("a", 1), ("a", 0.5), ("b", Fraction(-1, 2))), "duplicate outcome label 'a'"),
         ((("a", 2), ("b", 0), ("c", -1), ("d", -1)), "negative probability -1 for outcome 'c'"),
+        # The repeated label comes first; this was refused as "outcome ('b',) is not a (label, probability) pair".
+        ((("a", Fraction(1, 2)), ("a", Fraction(1, 2)), ("b",)), "duplicate outcome label 'a'"),
+        ((("a", Fraction(1, 2)), ("b",), ("a", Fraction(1, 2))), r"outcome \('b',\) is not a \(label, probability\) pair"),
     ],
-    ids=["sign-first", "type-first", "label-first", "first-of-two-signs"],
+    ids=["sign-first", "type-first", "label-first", "first-of-two-signs", "label-before-pair", "pair-before-label"],
 )
 def test_a_table_with_several_faults_names_the_first_outcome_that_has_one(outcomes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
