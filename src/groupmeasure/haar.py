@@ -6,12 +6,12 @@ integral, so the invariant measure of [l, x] is u(x) - u(l) and cdf(x) = (u(x) -
 u(lower)) / normalizer (Jaynes, "Prior Probabilities", 1968).  A family's chart
 gives this canonical coordinate u: x for translation, log x for scale, a table of
 Fejer panels over the interval for a custom law.  A built-in's table is one exact
-panel.  A custom panel's rule is its own series: its 15 node values give both the
-panel's integral and the Chebyshev series of u from the panel's left edge, the
-antiderivative of the degree-14 polynomial through them.  Its cdf reads that series,
-within the table's 1e-10 tolerance, and calls the law no more; its quantile takes ITP
-steps on the same series, inside the panel that holds the level, until the cdf at x is
-within one ulp of the level or the bracket is 1e-12 wide.
+panel.  A custom panel is its series: its 15 node values give the Chebyshev series of
+u from the panel's left edge, the antiderivative of the degree-14 polynomial through
+them, whose value at the right edge is the panel's integral; the table keeps it as is.
+Its cdf reads that series, within the table's 1e-10 tolerance, and calls the law no
+more; its quantile takes ITP steps on the same series, inside the panel that holds the
+level, until the cdf at x is within one ulp of the level or the bracket is 1e-12 wide.
 
 This module is floating point (binary64) throughout; tolerances are
 declared per operation.  Everything is pure and immutable; sampling is
@@ -41,8 +41,8 @@ _BISECT_WIDTH = 1e-12
 _IDENTITY_TOL = 1e-9
 _PROBE_POINTS = (0.5, 1.0, 2.0)
 
-# A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, node values),
-# the node values None for an exact panel; point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form,
+# A family's chart, its coordinate u: weight(f, p) = u'(p); panel(f, a, b) = (u(b) - u(a), error, series), the
+# series None for an exact panel; point(d, q) solves u(x) = u(lower) + q * d.normalizer (closed form,
 # or ITP steps on the panel's series for a custom table); affine(a, b): does a*x + b keep d in the family?
 _Chart = namedtuple("_Chart", "name form weight panel point affine")
 
@@ -64,10 +64,14 @@ def scale_family() -> OneParamFamily:
 
 
 def custom_family(compose: Callable[[float, float], float], identity: float) -> OneParamFamily:
-    """Family from a user law, real or complex-valued; checks phi(a, e) = a at the probe points."""
+    """Family from a user law, real or complex-valued; checks phi(a, e) = a at the probe points, naming a failed one."""
     for a in _PROBE_POINTS:
-        value = compose(a, identity)
-        if not abs(value - a) <= _IDENTITY_TOL * max(1.0, abs(a)):
+        try:
+            value = compose(a, identity)
+            trivial = abs(value - a) <= _IDENTITY_TOL * max(1.0, abs(a))
+        except (ArithmeticError, TypeError, ValueError) as err:
+            raise ValueError(f"identity probe compose({a}, {identity}) fails: {type(err).__name__}: {err}") from err
+        if not trivial:
             raise ValueError(
                 f"compose({a}, {identity}) = {value}; identity parameter does not act trivially"
             )
@@ -101,7 +105,8 @@ def haar_measure(f: OneParamFamily, c: IntervalConstraint) -> float:
 
 class NormalizedDensity(Record):
     """The weight normalized to 1 over the support, with the chart's table: panel edges, the integral up to each,
-    and for a quadrature table each panel's Chebyshev series of the integral from its left edge, per half-width."""
+    and for a quadrature table each panel's series as ``_panel`` returned it: the Chebyshev series of the integral
+    from its left edge, per half-width."""
 
     __slots__ = ("family", "support", "normalizer", "edges", "cumulative", "series")
 
@@ -176,11 +181,10 @@ class NormalizedDensity(Record):
 
 def normalize(f: OneParamFamily, c: IntervalConstraint) -> NormalizedDensity:
     """Normalize the invariant weight over the observation interval."""
-    edges, cumulative, nodes = _weight_table(f, c)
+    edges, cumulative, series = _weight_table(f, c)
     normalizer = cumulative[-1]
     if not math.isfinite(normalizer) or normalizer <= 0:
         raise ValueError(f"weight integral over [{c.lower}, {c.upper}] is {normalizer}")
-    series = () if nodes[0] is None else tuple(map(_antiderivative, nodes))
     return NormalizedDensity(f, c, normalizer, edges, cumulative, series)
 
 
@@ -312,50 +316,40 @@ _FEJER_TAIL = 8.0  # a panel's error estimate, per half-width, in units of |b_14
 
 
 @functools.cache
-def _fejer() -> tuple[list[float], list[float], list[list[float]], list[list[float]]]:
+def _fejer() -> tuple[list[float], list[list[float]], list[list[float]]]:
     """Fejer's second rule on [-1, 1] (Fejer, Math. Z. 37, 1933; Waldvogel, BIT 46, 2006), at the 15 interior
     points cos(j pi / 16): the center, j = 8, and the pairs +-x, j = 1..7 from the outermost in.  Its rows take
     the node values to the Chebyshev coefficients b_k of U(t) = integral from -1 to t of p, the degree-14
     polynomial through them.  With t = cos theta, dU/dtheta = -p(cos theta) sin theta is a sine polynomial of
     degree 15, so the values v_j at theta_j = j pi / 16 give it exactly: k b_k = (1/8) sum_j v_j sin theta_j
     sin(k theta_j).  sin(k (pi - theta)) = +-sin(k theta) for odd and even k, so the odd b_k read the 8 sums
-    v(0), v(-x) + v(x) and the even b_k the 7 differences v(x) - v(-x).  The weights on the sums give the
-    value U(1) = 2 (b_1 + b_3 + ... + b_15).  Returns the pairs' abscissae x, the weights on the 8 sums, and
-    the rows of b_1, b_3, ..., b_15 and of b_2, b_4, ..., b_14."""
+    v(0), v(-x) + v(x) and the even b_k the 7 differences v(x) - v(-x).  Returns the pairs' abscissae x and the
+    rows of b_1, b_3, ..., b_15 and of b_2, b_4, ..., b_14."""
     angles = [0.5 * math.pi, *(j * math.pi / 16 for j in range(1, 8))]
     odd = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles] for k in range(1, 16, 2)]
     even = [[math.sin(a) * math.sin(k * a) / (8 * k) for a in angles[1:]] for k in range(2, 15, 2)]
-    return [math.cos(a) for a in angles[1:]], [2.0 * sum(column) for column in zip(*odd)], odd, even
+    return [math.cos(a) for a in angles[1:]], odd, even
 
 
-def _panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[list[float], list[float]]]:
-    """Fejer integral of f's weight v over [a, b], its error estimate _FEJER_TAIL * half * (|b_14| + |b_15|),
-    both read by ``_fejer``'s rows from the 8 sums v(0), v(-x) + v(x) and 7 differences v(x) - v(-x), and
-    those.  v is evaluated at the center first, then at the pairs +-x from the outermost in, left before right."""
+def _panel(f: OneParamFamily, a: float, b: float) -> tuple[float, float, tuple[float, ...]]:
+    """The panel of f's weight v over [a, b] as its series, the Chebyshev coefficients b_0..b_15, in t = (x -
+    center) / half, of the integral of v from a to x per half-width: ``_fejer``'s rows applied to the 8 sums
+    v(0), v(-x) + v(x) and 7 differences v(x) - v(-x), and b_0 from U(-1) = 0.  Returns the integral, the series
+    at t = 1, half * 2 (b_1 + b_3 + ... + b_15), so cdf is continuous at every edge of the table; the error
+    estimate _FEJER_TAIL * half * (|b_14| + |b_15|); and the series.  v is evaluated at the center first, then
+    at the pairs +-x from the outermost in, left before right."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     weight = f.chart.weight if math.isfinite(half) else haar_weight  # the nodes are finite if center and half are
-    abscissae, weights, odd_rows, even_rows = _fejer()
+    abscissae, odd_rows, even_rows = _fejer()
     sums, differences = [haar_weight(f, center)], []
     for x in abscissae:
         left, right = weight(f, center - half * x), weight(f, center + half * x)
         sums.append(left + right)
         differences.append(right - left)
-    value = sum(map(mul, weights, sums))
-    b15, b14 = sum(map(mul, odd_rows[-1], sums)), sum(map(mul, even_rows[-1], differences))
-    return half * value, _FEJER_TAIL * half * (abs(b14) + abs(b15)), (sums, differences)
-
-
-def _antiderivative(nodes: tuple[list[float], list[float]]) -> tuple[float, ...]:
-    """Chebyshev coefficients b_0..b_15, in t = (x - center) / half, of the integral of the weight from the
-    panel's left edge to x, divided by half: the rows of ``_fejer``, and b_0 from U(-1) = 0.  At t = 1 the
-    series is the panel's Fejer value, so cdf is continuous at every edge of the table."""
-    sums, differences = nodes
-    _, _, odd_rows, even_rows = _fejer()
-    series = [0.0] * 16
-    series[1::2] = [sum(map(mul, row, sums)) for row in odd_rows]
-    series[2::2] = [sum(map(mul, row, differences)) for row in even_rows]
-    series[0] = sum(series[1::2]) - sum(series[2::2])
-    return tuple(series)
+    odd = [sum(map(mul, row, sums)) for row in odd_rows]  # b_1, b_3, ..., b_15
+    even = [sum(map(mul, row, differences)) for row in even_rows]  # b_2, b_4, ..., b_14
+    series = (sum(odd) - sum(even), *itertools.chain(*zip(odd, even)), odd[-1])  # b_0 from U(-1) = 0, b_1..b_15
+    return 2.0 * half * sum(odd), _FEJER_TAIL * half * (abs(even[-1]) + abs(odd[-1])), series
 
 
 def _chebyshev_sum(series: tuple[float, ...], t: float) -> float:
@@ -373,10 +367,10 @@ CUSTOM = _Chart("custom", "custom", _rate_weight, _panel, _itp_point, lambda a, 
 
 
 def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple, tuple, tuple]:
-    """Panel edges over c, the weight integral up to each and each panel's node values (None for an exact panel),
+    """Panel edges over c, the weight integral up to each and each panel's series (none for an exact panel),
     halving the worst panel until the error estimate is within the tolerance or the noise floor ``_rate_noise``."""
-    value, error, nodes = f.chart.panel(f, c.lower, c.upper)
-    panels = [(-error, c.lower, c.upper, value, nodes)]
+    value, error, series = f.chart.panel(f, c.lower, c.upper)
+    panels = [(-error, c.lower, c.upper, value, series)]
     total, total_error = value, error
     tolerance = _QUAD_REL_TOL
     if total_error > tolerance * total:  # a built-in panel is exact, so only a custom table asks for the floor
@@ -388,9 +382,8 @@ def _weight_table(f: OneParamFamily, c: IntervalConstraint) -> tuple[tuple, tupl
         total, total_error = total - value, total_error + neg_error
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            value, error, nodes = f.chart.panel(f, lo, hi)
-            heapq.heappush(panels, (-error, lo, hi, value, nodes))
+            value, error, series = f.chart.panel(f, lo, hi)
+            heapq.heappush(panels, (-error, lo, hi, value, series))
             total, total_error = total + value, total_error + error
-    panels.sort(key=lambda panel: panel[1])
-    edges = (c.lower, *(panel[2] for panel in panels))
-    return edges, (0.0, *itertools.accumulate(panel[3] for panel in panels)), tuple(panel[4] for panel in panels)
+    _, _, highs, values, series = zip(*sorted(panels, key=lambda panel: panel[1]))
+    return (c.lower, *highs), (0.0, *itertools.accumulate(values)), series if series[0] else ()

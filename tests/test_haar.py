@@ -188,15 +188,15 @@ def test_a_central_difference_noise_floor_is_its_largest_bound_at_the_nested_rul
 
 def test_a_panel_series_is_numpys_antiderivative_of_the_polynomial_through_its_nodes():
     # An independent check of the closed-form rows: numpy fits the degree-14 polynomial through the 15 node
-    # values at cos(j pi / 16) and integrates it from -1.
+    # values at cos(j pi / 16) and integrates it from -1.  The panel over [-1, 1] reads v at its nodes.
     rng = np.random.default_rng(26)
     x = np.cos(np.arange(1, 16) * np.pi / 16)  # v[j - 1] is the value at x_j; x_8 = 0 and x_(16 - j) = -x_j
     for _ in range(20):
         v = rng.uniform(-1.0, 2.0, 15)
-        sums = [v[7], *(v[15 - j] + v[j - 1] for j in range(1, 8))]
-        differences = [v[j - 1] - v[15 - j] for j in range(1, 8)]
+        chart = haar.CUSTOM._replace(weight=lambda f, p: float(v[np.abs(x - p).argmin()]))
+        _, _, series = haar._panel(haar.OneParamFamily(chart, None, 0.0), -1.0, 1.0)
         expected = chebyshev.chebint(chebyshev.chebfit(x, v, 14), lbnd=-1)
-        assert np.abs(np.array(haar._antiderivative((sums, differences))) - expected).max() <= 1e-13
+        assert np.abs(np.array(series) - expected).max() <= 1e-13
 
 
 def test_a_panel_integrates_a_degree_14_weight_exactly_and_estimates_its_error_from_the_last_two_terms():
@@ -205,11 +205,35 @@ def test_a_panel_integrates_a_degree_14_weight_exactly_and_estimates_its_error_f
         coefficients = rng.uniform(-1.0, 1.0, 15)
         coefficients[0] = 20.0  # a positive weight on [-1, 1]
         chart = haar.CUSTOM._replace(weight=lambda f, p: float(chebyshev.chebval(p, coefficients)))
-        value, error, nodes = haar._panel(haar.OneParamFamily(chart, None, 0.0), -1.0, 1.0)
-        series = chebyshev.chebint(coefficients, lbnd=-1)
-        assert abs(value - chebyshev.chebval(1.0, series)) <= 1e-13
-        assert error == pytest.approx(haar._FEJER_TAIL * (abs(series[14]) + abs(series[15])), rel=1e-12)
-        assert np.abs(np.array(haar._antiderivative(nodes)) - series).max() <= 1e-13
+        value, error, series = haar._panel(haar.OneParamFamily(chart, None, 0.0), -1.0, 1.0)
+        expected = chebyshev.chebint(coefficients, lbnd=-1)
+        assert abs(value - chebyshev.chebval(1.0, expected)) <= 1e-13
+        assert error == pytest.approx(haar._FEJER_TAIL * (abs(expected[14]) + abs(expected[15])), rel=1e-12)
+        assert np.abs(np.array(series) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "compose, identity, lower, upper, panels",
+    [
+        (lambda a, b: a * b, 1.0, 0.5, 8.0, 5),
+        (lambda a, b: a + b + a * b, 0.0, 0.0, 1000.0, 11),
+        (lambda a, b: cmath.asinh(cmath.sinh(a) + cmath.sinh(b)), 0.0, -6.0, 6.0, 4),
+        (lambda a, b: math.asinh(math.sinh(a) + math.sinh(b)), 0.0, -4.0, 6.0, 2),  # stops at the noise floor
+    ],
+    ids=["a*b", "a+b+ab", "cmath_asinh", "math_asinh"],
+)
+def test_each_panel_of_a_custom_table_is_its_series_from_0_at_its_left_edge_to_its_value_at_its_right(
+        compose, identity, lower, upper, panels):
+    # The table carries each panel's series as the panel gave it; T_k(1) = 1 and T_k(-1) = (-1)**k.
+    family = custom_family(compose, identity)
+    d = normalize(family, IntervalConstraint(lower, upper))
+    assert len(d.series) == len(d.edges) - 1 == panels
+    for a, b, series in zip(d.edges, d.edges[1:], d.series):
+        value, _, panel_series = haar._panel(family, a, b)
+        assert panel_series == series
+        half = 0.5 * (b - a)
+        assert abs(half * math.fsum(series) - value) <= 2 * math.ulp(value)
+        assert abs(math.fsum(c * (-1) ** k for k, c in enumerate(series))) <= 2 * math.ulp(value / half)
 
 
 def test_oscillating_weight_converges_or_is_refused_in_bounded_time():
@@ -293,9 +317,14 @@ def test_degenerate_interval_is_rejected():
         (lambda: normalize(SCALE, IntervalConstraint(1.0, 2.0)).sample(1, True), "sample count must be at least 1, got True"),
         (lambda: normalize(custom_family(lambda a, b: a - b, 0.0), IntervalConstraint(1.0, 2.0)),
          r"composition rate -1\.0 at p=1\.5 gives no positive weight"),
+        # A law that fails at an identity probe point raised a bare ZeroDivisionError or TypeError.
+        (lambda: custom_family(lambda a, b: a + b / (a - 1.0), 0.0),
+         r"identity probe compose\(1\.0, 0\.0\) fails: ZeroDivisionError: float division by zero"),
+        (lambda: custom_family(lambda a, b: "x", 0.0),
+         r"identity probe compose\(0\.5, 0\.0\) fails: TypeError: unsupported operand type\(s\) for -: 'str' and 'float'"),
     ],
     ids=["interval_bound_nan", "sample_count_zero", "sample_count_float", "sample_count_str", "sample_count_bool",
-         "custom_rate_negative"],
+         "custom_rate_negative", "custom_probe_divides_by_zero", "custom_probe_value_is_str"],
 )
 def test_a_call_outside_its_domain_is_refused_in_its_own_words(call, words):
     with pytest.raises(ValueError, match=f"^{words}$"):
