@@ -1,13 +1,13 @@
 """Compare the custom Haar densities of two source trees, case by case.
 
-    python tools/compare_custom.py OLD_TREE NEW_TREE [--seed 1] [--draws 150] [--timeout 300]
+    python tools/compare_custom.py OLD_TREE NEW_TREE
 
-Each tree runs in its own subprocess, with PYTHONPATH=<tree>/src, and builds
-the same custom densities: a*b and a+b+ab on intervals drawn like the
-haar_custom workload's custom strata, and the math and cmath asinh(sinh a +
-sinh b) laws and a + math.tanh(b) on fixed intervals.  Per case it records
-the normalizer, the panel count, cdf at 7 points and quantile at 7 levels, or
-the refusal's text.  Custom a+b far from 0, and any quantile on an interval
+Each tree runs in its own subprocess, with PYTHONPATH=<tree>/src and a
+TIMEOUT-second limit, and builds the same custom densities: a*b and a+b+ab on
+DRAWS intervals each, drawn with SEED like the haar_custom workload's custom
+strata, and the math and cmath asinh(sinh a + sinh b) laws and a + math.tanh(b)
+on fixed intervals.  Per case it records the normalizer, the panel count, cdf
+at 7 points and quantile at 7 levels, or the refusal's text.  Custom a+b far from 0, and any quantile on an interval
 that reaches 8192, are left out: there the quantile's stop can hang (ROADMAP
 item 1).
 
@@ -29,6 +29,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+SEED = 1
+DRAWS = 150
+TIMEOUT = 300.0  # seconds per tree
 POINTS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)  # cdf at lower + t * width, and the quantile levels
 QUANTILE_LIMIT = 8192.0
 FIXED = {
@@ -47,10 +50,10 @@ LAWS = {
 }
 
 
-def cases(seed: int, draws: int) -> list[tuple[str, float, float]]:
+def cases() -> list[tuple[str, float, float]]:
     """(law, lower, upper): drawn a*b and a+b+ab intervals, then the fixed ones."""
-    rng, drawn = random.Random(seed), []
-    for _ in range(draws):
+    rng, drawn = random.Random(SEED), []
+    for _ in range(DRAWS):
         lower = rng.uniform(0.5, 20.0)
         drawn.append(("a*b", lower, lower * rng.choice((1.6, 1.9, 2.2, 2.5, 2.8, 3.1)) * rng.uniform(0.97, 1.03)))
         lower = rng.uniform(-0.5, 2.0)
@@ -59,12 +62,12 @@ def cases(seed: int, draws: int) -> list[tuple[str, float, float]]:
     return drawn + [(law, lo, hi) for law, intervals in FIXED.items() for lo, hi in intervals]
 
 
-def work(seed: int, draws: int) -> None:
+def work() -> None:
     """Run every case on the groupmeasure on sys.path and print one JSON list."""
     from groupmeasure.haar import IntervalConstraint, custom_family, normalize
 
     results = []
-    for law, lower, upper in cases(seed, draws):
+    for law, lower, upper in cases():
         try:
             d = normalize(custom_family(*LAWS[law]), IntervalConstraint(lower, upper))
             result = {
@@ -79,13 +82,13 @@ def work(seed: int, draws: int) -> None:
     json.dump(results, sys.stdout)
 
 
-def run_tree(tree: Path, seed: int, draws: int, timeout: float) -> list[dict]:
+def run_tree(tree: Path) -> list[dict]:
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
-    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", "--seed", str(seed), "--draws", str(draws)]
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker"]
     try:
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout, check=False)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=TIMEOUT, check=False)
     except subprocess.TimeoutExpired:
-        print(f"compare_custom: {tree} did not finish in {timeout:g} s", file=sys.stderr)
+        print(f"compare_custom: {tree} did not finish in {TIMEOUT:g} s", file=sys.stderr)
         sys.exit(2)
     if done.returncode:
         print(done.stderr, file=sys.stderr)
@@ -93,11 +96,11 @@ def run_tree(tree: Path, seed: int, draws: int, timeout: float) -> list[dict]:
     return json.loads(done.stdout)
 
 
-def compare(old: list[dict], new: list[dict], seed: int, draws: int) -> int:
+def compare(old: list[dict], new: list[dict]) -> int:
     """Print the drift report; return the number of cases whose panel count or refusal differs."""
     normalizer_ulps = cdf_drift = quantile_drift = 0.0
     identical = differing = 0
-    for (law, lower, upper), a, b in zip(cases(seed, draws), old, new):
+    for (law, lower, upper), a, b in zip(cases(), old, new):
         label = f"{law} on [{lower!r}, {upper!r}]"
         if a.get("refused") != b.get("refused") or a.get("panels") != b.get("panels"):
             differing += 1
@@ -121,18 +124,15 @@ def compare(old: list[dict], new: list[dict], seed: int, draws: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--draws", type=int, default=150, help="drawn intervals per law, a*b and a+b+ab")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per tree")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        work(args.seed, args.draws)
+        work()
         return 0
     if len(args.trees) != 2:
         parser.error("give two trees, OLD_TREE NEW_TREE")
-    old, new = (run_tree(tree, args.seed, args.draws, args.timeout) for tree in args.trees)
-    return 1 if compare(old, new, args.seed, args.draws) else 0
+    old, new = (run_tree(tree) for tree in args.trees)
+    return 1 if compare(old, new) else 0
 
 
 if __name__ == "__main__":
