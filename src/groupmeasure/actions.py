@@ -3,25 +3,19 @@
 Die convention: right-handed playing die, opposite faces sum to 7, faces
 1-2-3 counterclockwise around their shared vertex.  Face axes in the
 reference placement: 1 -> +x (east), 2 -> +y (north), 3 -> +z (up).  An
-orientation is named by the face pointing up and the face pointing north.
+orientation is named by the face pointing up and the face pointing north;
+it is the octahedral group id of the rotation that places it.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .groups import FiniteGroup, Matrix, make_coin_group, make_octahedral, octahedral_matrices
+from .groups import SIGNED_AXES, FiniteGroup, Matrix, make_coin_group, make_octahedral, octahedral_matrices
 from .record import Record
 from .tables import ProbabilityTable, uniform_table
 
-FACE_AXES: dict[int, tuple[int, int, int]] = {
-    1: (1, 0, 0),
-    2: (0, 1, 0),
-    3: (0, 0, 1),
-    4: (0, 0, -1),
-    5: (0, -1, 0),
-    6: (-1, 0, 0),
-}
+FACE_AXES: dict[int, tuple[int, int, int]] = dict(enumerate(SIGNED_AXES, 1))
 
 _FACE_ON_AXIS = {axis: face for face, axis in FACE_AXES.items()}
 
@@ -64,8 +58,8 @@ def _orientation_of(matrix: Matrix) -> DieOrientation:
 
 @cache
 def all_orientations() -> tuple[DieOrientation, ...]:
-    """The 24 die orientations, sorted by (up, north)."""
-    return tuple(sorted(_orientation_of(m) for m in octahedral_matrices()))
+    """The 24 die orientations: orientation i is the one that rotation i places, so they run sorted by (up, north)."""
+    return tuple(map(_orientation_of, octahedral_matrices()))
 
 
 class GroupAction(Record):
@@ -105,20 +99,12 @@ def coin_action() -> GroupAction:
 
 @cache
 def die_action() -> GroupAction:
-    """The octahedral group permuting the 24 die orientations (simply transitive).
+    """The octahedral group permuting the 24 die orientations, simply transitively: its own table.
 
-    Rotation h turns the reference placement to state ``placed[h]``, and g then
-    turns it to ``placed[g∘h]``: the action is the group table, relabelled.
+    State h is the orientation that rotation h places, and g turns it to the one g∘h places.
     """
     group = make_octahedral()
-    states = all_orientations()
-    index = {o: i for i, o in enumerate(states)}
-    placed = [index[_orientation_of(m)] for m in octahedral_matrices()]
-    rotation_at = {s: h for h, s in enumerate(placed)}
-    act = tuple(
-        tuple(placed[row[rotation_at[s]]] for s in range(len(states))) for row in group.table
-    )
-    return GroupAction(group, tuple(o.label for o in states), act)
+    return GroupAction(group, tuple(o.label for o in all_orientations()), group.table)
 
 
 def uniform_over_action(action: GroupAction) -> ProbabilityTable:

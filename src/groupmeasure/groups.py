@@ -1,10 +1,10 @@
 """Finite transformation groups with explicit composition tables.
 
-Elements are opaque integer ids 0..n-1.  All constructors return fully
-materialized tables so that the group axioms can be checked exhaustively.
-Each constructor names its identity, which it knows from how it builds the
-table: 0 for the cyclic, dihedral and coin groups, the pair of identities for
-a direct product, the identity matrix's index for the octahedral group.
+Elements are integer ids 0..n-1, in full tables so that the group axioms can be
+checked exhaustively.  Each constructor names its identity, which it knows from
+how it builds the table: 0 for the cyclic, dihedral and coin groups, the pair of
+identities for a direct product, the die's reference placement for the
+octahedral group, whose ids are the die orientations.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ])
 
 
-_SIGNED_AXES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+SIGNED_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, -1, 0), (-1, 0, 0))
 
 
 def _cross(y: tuple[int, int, int], z: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -144,14 +144,15 @@ def _cross(y: tuple[int, int, int], z: tuple[int, int, int]) -> tuple[int, int, 
 
 @cache
 def octahedral_matrices() -> tuple[Matrix, ...]:
-    """The 24 proper rotations of the cube as integer matrices, in canonical (sorted) order.
+    """The 24 proper rotations of the cube as integer matrices; rotation i places die orientation i.
 
     A rotation's rows are orthonormal and right-handed: rows 2 and 3 are two signed
     unit axes at right angles, and row 1 is their cross product, which is zero
-    exactly when the two axes are parallel.
+    exactly when the two axes are parallel.  It turns up the die face whose ``SIGNED_AXES`` entry is
+    row 3, and north the one on row 2; with row 3 outside, the rotations run in (up, north) face order.
     """
-    frames = ((_cross(y, z), y, z) for y in _SIGNED_AXES for z in _SIGNED_AXES)
-    return tuple(sorted(m for m in frames if m[0] != (0, 0, 0)))
+    frames = ((_cross(y, z), y, z) for z in SIGNED_AXES for y in SIGNED_AXES)
+    return tuple(m for m in frames if m[0] != (0, 0, 0))
 
 
 @cache

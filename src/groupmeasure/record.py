@@ -29,7 +29,7 @@ class Record:
 
     def __init__(self, *values: object, **named: object) -> None:
         slots = self.__slots__
-        if named:  # the fields after the positional ones, in slot order
+        if named:  # the fields after the positional ones, in slot order; skipped, for speed, when there are none
             for name in named.keys() - slots[len(values):]:
                 verb = "got field {!r} twice" if name in slots else "has no field {!r}"
                 raise TypeError(f"{self.__class__.__name__} " + verb.format(name))

@@ -115,7 +115,6 @@ def _refusal(outcome: int, p: float, floor: float) -> str | None:
     if p <= floor:
         return (f"outcome {outcome:+d} has probability 0 (p = {p:.3g}, within the rounding floor {floor:.3g} "
                 "at the angles' scale) and cannot be observed")
-    return None
 
 
 class MeasurementOutcome(Record):

@@ -53,15 +53,18 @@ class ProbabilityTable(Record):
 
 
 def _refuse_first_outcome(outcomes: tuple[tuple[str, Fraction], ...]) -> None:
-    """Raise the refusal of the first faulty outcome: no pair, a repeated label, or an inexact or negative p."""
+    """Refuse the first faulty outcome: no pair, a repeated or unhashable label, or an inexact or negative p."""
     seen = set()
     for outcome in outcomes:
         if len(outcome) != 2:
             raise ValueError(f"outcome {outcome!r} is not a (label, probability) pair")
         label, p = outcome
-        if label in seen:
-            raise ValueError(f"duplicate outcome label {label!r}")
-        seen.add(label)
+        try:
+            if label in seen:
+                raise ValueError(f"duplicate outcome label {label!r}")
+            seen.add(label)
+        except TypeError:  # unhashable, such as a list
+            raise ValueError(f"outcome label {label!r} cannot be hashed") from None
         if type(p) not in _EXACT_TYPES:
             raise ValueError(f"probability {p!r} for outcome {label!r} is not an int or a Fraction")
         if p.numerator < 0:
@@ -73,9 +76,12 @@ def uniform_table(labels: tuple[str, ...] | list[str]) -> ProbabilityTable:
     n = len(labels)
     if n == 0:
         raise ValueError("uniform table needs at least one label")
-    if len(set(labels)) < n:
-        _refuse_first_outcome([(label, 0) for label in labels])
-    return _over(labels, (1,) * n, n)
+    try:
+        if len(set(labels)) == n:
+            return _over(labels, (1,) * n, n)
+    except TypeError:  # a label that cannot be hashed, which the walk names
+        pass
+    _refuse_first_outcome([(label, 0) for label in labels])
 
 
 def _over(labels: Iterable[str], numerators: Collection[int], denominator: int) -> ProbabilityTable:
@@ -86,7 +92,7 @@ def _over(labels: Iterable[str], numerators: Collection[int], denominator: int) 
     is made per distinct numerator.
     """
     common = gcd(denominator, *numerators)
-    if common > 1:
+    if common > 1:  # for speed: a common factor of 1 changes nothing
         denominator //= common
         numerators = [n // common for n in numerators]
     values = {n: Fraction(n, denominator) for n in set(numerators)}

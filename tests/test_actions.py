@@ -104,6 +104,19 @@ def test_die_action_group_is_the_octahedral_group():
     assert die_action().group == make_octahedral()
 
 
+def test_orientation_i_is_the_one_rotation_i_places_and_they_run_sorted_by_up_then_north():
+    placed = tuple(map(_orientation_after, octahedral_matrices()))
+    assert all_orientations() == placed
+    assert placed == tuple(sorted(placed, key=lambda o: (o.up, o.north)))
+
+
+def test_the_die_action_is_the_regular_action_of_the_octahedral_group():
+    # Group id i is orientation i, so g moves state h to g∘h; the identity is the reference placement.
+    group = make_octahedral()
+    assert die_action().act == group.table
+    assert all_orientations()[group.identity] == DieOrientation(3, 2)
+
+
 def test_uniform_over_die_action():
     table = uniform_over_action(die_action())
     assert len(table.outcomes) == 24

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from groupmeasure import oracle
 from groupmeasure.cli import _build_parser, _scenario_from_args, main, render
 from groupmeasure.scenarios import KINDS, ScenarioError, parse_scenario, run
 
@@ -206,6 +207,14 @@ def test_selftest_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert all(" PASS " in line or line.endswith("PASS residual=0") or "PASS" in line for line in lines)
     assert any(line.startswith("group-axioms[O]") for line in lines)
+
+
+def test_selftest_exits_1_when_a_check_fails(capsys, monkeypatch):
+    failing = [oracle.CheckReport("passing", True, 0.0), oracle.CheckReport("failing", False, 0.5, "seeded")]
+    monkeypatch.setattr(oracle, "selftest", lambda: failing)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out == "passing PASS residual=0\nfailing FAIL residual=0.5 (seeded)\n"
 
 
 def test_selftest_has_no_format_option(capsys):

@@ -27,6 +27,8 @@ import os
 import sys
 from pathlib import Path
 
+from deadlines import deadline
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FORMATS = ("table", "json", "csv")
 
@@ -66,6 +68,7 @@ CASES.update({
 # Custom laws, each on an interval: law name, compose, identity, lower, upper.  [20, 20.1] is refused;
 # [5.4, 5.5] and [-4, 6] stop at the central difference's noise floor, after 1 and 2 panels.
 CUSTOM_TABLES = "custom_families"
+CUSTOM_DEADLINE = 5.0  # seconds; the report takes well under one
 _CUSTOM_LAWS = (
     ("a*b", lambda a, b: a * b, 1.0, 0.5, 8.0),
     ("a+b+ab", lambda a, b: a + b + a * b, 0.0, 0.0, 20.0),
@@ -152,7 +155,8 @@ def test_cli_output_matches_golden_corpus():
 
 
 def test_custom_family_tables_match_golden():
-    actual = custom_report()
+    with deadline(CUSTOM_DEADLINE):  # a loop guard that fails in the custom path fails this test, not hangs it
+        actual = custom_report()
     assert actual == committed(CUSTOM_TABLES), _visible_diff(CUSTOM_TABLES, committed(CUSTOM_TABLES), actual)
 
 

@@ -322,13 +322,26 @@ def test_degenerate_interval_is_rejected():
          r"identity probe compose\(1\.0, 0\.0\) fails: ZeroDivisionError: float division by zero"),
         (lambda: custom_family(lambda a, b: "x", 0.0),
          r"identity probe compose\(0\.5, 0\.0\) fails: TypeError: unsupported operand type\(s\) for -: 'str' and 'float'"),
+        # Each panel of the translation weight is finite, but their sum overflows.
+        (lambda: normalize(TRANSLATION, IntervalConstraint(-1e308, 1e308)),
+         r"weight integral over \[-1e\+308, 1e\+308\] is inf"),
     ],
     ids=["interval_bound_nan", "sample_count_zero", "sample_count_float", "sample_count_str", "sample_count_bool",
-         "custom_rate_negative", "custom_probe_divides_by_zero", "custom_probe_value_is_str"],
+         "custom_rate_negative", "custom_probe_divides_by_zero", "custom_probe_value_is_str",
+         "translation_normalizer_inf"],
 )
 def test_a_call_outside_its_domain_is_refused_in_its_own_words(call, words):
     with pytest.raises(ValueError, match=f"^{words}$"):
         call()
+
+
+def test_a_weight_that_oscillates_too_fast_to_resolve_is_refused_at_the_evaluation_budget():
+    # The rate 1.5 + sin(1e6 a) swings through 1.6e5 periods on [0, 1], more than the 10**4 panels of the
+    # 150000-evaluation budget can resolve; the budget stops the table in about 0.2 s.
+    f = custom_family(lambda a, b: a + b * (1.5 + math.sin(1e6 * a)), 0.0)
+    words = r"^weight integral over \[0\.0, 1\.0\] needs > 150000 evaluations$"
+    with deadline(3.0), pytest.raises(ValueError, match=words):
+        normalize(f, IntervalConstraint(0.0, 1.0))
 
 
 def test_jeffreys_density_value():
@@ -856,6 +869,31 @@ def test_the_custom_point_keeps_its_step_bound_where_false_position_crawls(shape
         found = haar._itp_root(residual, 0.0, 1.0, -q, 1.0 - q, math.ulp(q))
     assert abs(found - root(q, k)) <= 1e-11
     assert len(calls) <= math.ceil(math.log2(1.0 / 1e-12)) + 1
+
+
+# Smooth increasing residuals, their brackets and roots; the second's root lies 7e-16 right of the lower end.
+SMOOTH_RESIDUALS = {
+    "x**3+x-1": (lambda x: x**3 + x - 1.0, 0.0, 1.0, 0.6823278038280193),
+    "root-at-the-end": (lambda x: 3.0 * ((x - 1.6489745531369249) ** 3 + 1e-30 * (x - 1.6489745531369249)),
+                        1.6489745531369242, 2.295828006416702, 1.6489745531369249),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_RESIDUALS))
+def test_itp_steps_shrink_the_bracket_in_a_few_steps_where_no_step_meets_the_floor(name):
+    # With floor 0 the steps end only at the 1e-12 bracket stop, which halving reaches in 40 steps.  ITP takes 9:
+    # its false position step, kept strictly inside the bracket where rounding puts it on an end.
+    residual, lo, hi, root = SMOOTH_RESIDUALS[name]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return residual(x)
+
+    with deadline(1.0):
+        found = haar._itp_root(counted, lo, hi, residual(lo), residual(hi), 0.0)
+    assert abs(found - root) <= 1e-12
+    assert len(calls) <= 12
 
 
 # Custom laws and their canonical coordinates u, on intervals whose tables have 1 to 8 panels.

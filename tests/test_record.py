@@ -155,6 +155,14 @@ def test_a_record_without_a_constructor_takes_its_fields_by_name(cls, fields):
         cls(**{name: value for name, value in named.items() if name != first})
 
 
+def test_records_of_two_classes_do_not_order():
+    # Both hold two ints, so compared by their fields alone the first would sort before the second.
+    first, second = haar.IntervalConstraint(0, 1), actions.DieOrientation(1, 2)
+    for smaller, larger in ((first, second), (second, first)):
+        with pytest.raises(TypeError):
+            smaller < larger
+
+
 def test_die_orientations_sort_and_dedupe():
     o = actions.DieOrientation
     assert sorted([o(2, 1), o(1, 3), o(1, 2)]) == [o(1, 2), o(1, 3), o(2, 1)]

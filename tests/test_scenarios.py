@@ -127,6 +127,10 @@ SCENARIO_RULES = {
     "chain_negative_seed": ("spin_chain", ((1.0,), -1, 3), "key 'seed' must be nonnegative, got -1"),
     "die_north_off_the_die": ("die", ("conditional_north", 7), r"key 'north' must be a face value 1\.\.6, got 7"),
     "die_north_missing": ("die", ("conditional_north", None), "missing required key 'north'"),
+    "interval_at_not_a_number": (
+        "interval", ("translation", 0.0, 1.0, "x", None), "key 'at' must be a number, got 'x'"),
+    "interval_quantile_not_a_number": (
+        "interval", ("translation", 0.0, 1.0, None, "x"), "key 'quantile' must be a number, got 'x'"),
 }
 
 

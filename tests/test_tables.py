@@ -93,6 +93,22 @@ def test_an_outcome_that_is_not_a_pair_is_refused_by_name(outcome):
         ProbabilityTable((("b", Fraction(1, 2)), outcome))
 
 
+@pytest.mark.parametrize(
+    "call, label",
+    [
+        (lambda: ProbabilityTable([(["a"], 1)]), ["a"]),
+        (lambda: ProbabilityTable([("b", Fraction(1, 2)), (("a", ["c"]), Fraction(1, 2))]), ("a", ["c"])),
+        (lambda: uniform_table([["a"], ["b"]]), ["a"]),
+        (lambda: uniform_table(["b", {"a": 1}]), {"a": 1}),
+    ],
+    ids=["table-list", "table-tuple-holding-a-list", "uniform-list", "uniform-dict-after-a-str"],
+)
+def test_a_label_that_cannot_be_hashed_is_refused_by_name(call, label):
+    # Each used to fail in the set of labels as a bare TypeError: unhashable type.
+    with pytest.raises(ValueError, match=rf"^outcome label {re.escape(repr(label))} cannot be hashed$"):
+        call()
+
+
 def test_a_marginal_whose_numerators_share_a_factor_of_2_equals_the_table_of_its_outcomes():
     # (2, 2)/4 reduces to (1, 1)/2: a marginal that kept the unreduced form would not equal the checked table.
     marginal = marginalize(uniform_table("abcd"), {"a": "x", "b": "x", "c": "y", "d": "y"})
